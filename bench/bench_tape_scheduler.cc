@@ -52,9 +52,9 @@ int Run() {
         cursor = done.completions.back().interval.end;
       }
       if (row.policy == tape::SchedulePolicy::kFifo) fifo_response = cursor.value();
-      table.AddRow({row.name, StrFormat("%d", batch), StrFormat("%.0f", cursor),
+      table.AddRow({row.name, StrFormat("%d", batch), StrFormat("%.0f", cursor.value()),
                     StrFormat("%llu", (unsigned long long)drive.stats().reposition_count),
-                    StrFormat("%.2fx", fifo_response > 0 ? cursor / fifo_response : 1.0)});
+                    StrFormat("%.2fx", fifo_response > 0 ? cursor.value() / fifo_response : 1.0)});
     }
   }
   table.Print();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 
 #include "join/simd.h"
@@ -39,6 +40,15 @@ inline void PrefetchWrite(const void* p) {
 #else
   (void)p;
 #endif
+}
+
+/// The int64 join key at `key_offset` of one record. The loops below hoist
+/// the offset out of the record loop instead of resolving the column
+/// through the schema per record.
+inline std::int64_t KeyAt(std::span<const std::uint8_t> record, std::size_t key_offset) {
+  std::int64_t key;
+  std::memcpy(&key, record.data() + key_offset, sizeof(key));
+  return key;
 }
 
 }  // namespace
@@ -106,6 +116,7 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
     incoming += reader.record_count();
   }
   Reserve(size_ + incoming);
+  const std::size_t key_offset = build_schema_->offset(build_key_);
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, build_schema_));
@@ -118,8 +129,7 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
     std::uint64_t digests[kPrefetchDistance];
     const std::uint64_t lead = std::min<std::uint64_t>(n, kPrefetchDistance);
     for (std::uint64_t i = 0; i < lead; ++i) {
-      rel::Tuple tuple(reader.record(i), build_schema_);
-      std::uint64_t digest = DigestOf(tuple.GetInt64(build_key_));
+      std::uint64_t digest = DigestOf(KeyAt(reader.record(i), key_offset));
       digests[i % kPrefetchDistance] = digest;
       PrefetchWrite(&slots_[static_cast<std::size_t>(digest) & mask_]);
     }
@@ -128,18 +138,16 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
       // lookahead below reuses the same ring position (i + D ≡ i mod D).
       const std::uint64_t current_digest = digests[i % kPrefetchDistance];
       if (i + kPrefetchDistance < n) {
-        rel::Tuple ahead(reader.record(i + kPrefetchDistance), build_schema_);
-        std::uint64_t digest = DigestOf(ahead.GetInt64(build_key_));
+        std::uint64_t digest = DigestOf(KeyAt(reader.record(i + kPrefetchDistance), key_offset));
         digests[i % kPrefetchDistance] = digest;
         PrefetchWrite(&slots_[static_cast<std::size_t>(digest) & mask_]);
       }
-      rel::Tuple tuple(reader.record(i), build_schema_);
+      const std::span<const std::uint8_t> bytes = reader.record(i);
       Slot slot;
       slot.digest = current_digest;
-      slot.key = tuple.GetInt64(build_key_);
-      slot.record_digest = HashBytes(tuple.bytes());
+      slot.key = KeyAt(bytes, key_offset);
+      slot.record_digest = HashBytes(bytes);
       if (capture_records_) {
-        std::span<const std::uint8_t> bytes = tuple.bytes();
         if (arena_.size() + bytes.size() >
             static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
           return Status::ResourceExhausted("flat table arena exceeds 4 GiB of build records");
@@ -160,6 +168,7 @@ Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
                                   std::size_t probe_key_column, JoinOutput* out) const {
   if (size_ == 0) return Status::OK();
   const bool pipeline = capture_records_ && out->has_sink();
+  const std::size_t key_offset = probe_schema->offset(probe_key_column);
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, probe_schema));
@@ -167,8 +176,7 @@ Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
     std::uint64_t digests[kPrefetchDistance];
     const std::uint64_t lead = std::min<std::uint64_t>(n, kPrefetchDistance);
     for (std::uint64_t i = 0; i < lead; ++i) {
-      rel::Tuple tuple(reader.record(i), probe_schema);
-      std::uint64_t digest = DigestOf(tuple.GetInt64(probe_key_column));
+      std::uint64_t digest = DigestOf(KeyAt(reader.record(i), key_offset));
       digests[i % kPrefetchDistance] = digest;
       PrefetchRead(&slots_[static_cast<std::size_t>(digest) & mask_]);
     }
@@ -176,13 +184,13 @@ Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
       // Read before the lookahead reuses this ring position (i + D ≡ i).
       const std::uint64_t digest = digests[i % kPrefetchDistance];
       if (i + kPrefetchDistance < n) {
-        rel::Tuple ahead(reader.record(i + kPrefetchDistance), probe_schema);
-        std::uint64_t ahead_digest = DigestOf(ahead.GetInt64(probe_key_column));
+        std::uint64_t ahead_digest =
+            DigestOf(KeyAt(reader.record(i + kPrefetchDistance), key_offset));
         digests[i % kPrefetchDistance] = ahead_digest;
         PrefetchRead(&slots_[static_cast<std::size_t>(ahead_digest) & mask_]);
       }
       rel::Tuple tuple(reader.record(i), probe_schema);
-      const std::int64_t key = tuple.GetInt64(probe_key_column);
+      const std::int64_t key = KeyAt(tuple.bytes(), key_offset);
       // The probe record's digest enters the pair checksum; computed lazily
       // on the first match so unmatched probes cost one slot load only.
       std::uint64_t probe_digest = 0;
@@ -235,6 +243,7 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
   constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
   const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
   const std::size_t capacity = slots_.size();
+  const std::size_t key_offset = build_schema_->offset(build_key_);
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, build_schema_));
@@ -247,8 +256,7 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
     std::uint64_t digests[kPrefetchDistance];
     std::int64_t keys[kPrefetchDistance];
     auto stage = [&](BlockCount j) {
-      rel::Tuple tuple(reader.record(j.value()), build_schema_);
-      const std::int64_t key = tuple.GetInt64(build_key_);
+      const std::int64_t key = KeyAt(reader.record(j.value()), key_offset);
       const std::uint64_t digest = DigestOf(key);
       keys[(j % kPrefetchDistance).value()] = key;
       digests[(j % kPrefetchDistance).value()] = digest;
@@ -263,10 +271,9 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
       slot.digest = digests[i % kPrefetchDistance];
       slot.key = keys[i % kPrefetchDistance];
       if (i + kPrefetchDistance < n) stage(i + kPrefetchDistance);
-      rel::Tuple tuple(reader.record(i), build_schema_);
-      slot.record_digest = HashBytes(tuple.bytes());
+      const std::span<const std::uint8_t> bytes = reader.record(i);
+      slot.record_digest = HashBytes(bytes);
       if (capture_records_) {
-        std::span<const std::uint8_t> bytes = tuple.bytes();
         if (arena_.size() + bytes.size() >
             static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
           return Status::ResourceExhausted("flat table arena exceeds 4 GiB of build records");
@@ -322,6 +329,7 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
   constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
   const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
   const std::size_t capacity = slots_.size();
+  const std::size_t key_offset = probe_schema->offset(probe_key_column);
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, probe_schema));
@@ -338,8 +346,7 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
     std::int64_t keys[kFilterDistance];
     bool may_match[kPrefetchDistance];
     auto stage_digest = [&](BlockCount j) {
-      rel::Tuple tuple(reader.record(j.value()), probe_schema);
-      const std::int64_t key = tuple.GetInt64(probe_key_column);
+      const std::int64_t key = KeyAt(reader.record(j.value()), key_offset);
       const std::uint64_t digest = DigestOf(key);
       keys[(j % kFilterDistance).value()] = key;
       digests[(j % kFilterDistance).value()] = digest;

@@ -88,7 +88,8 @@ class FlatJoinTable {
   struct Slot {
     std::uint64_t digest = 0;
     std::int64_t key = 0;
-    /// HashBytes of the full build record (enters the pair checksum).
+    /// Record digest (join::HashBytes) of the full build record; enters
+    /// the pair checksum.
     std::uint64_t record_digest = 0;
     /// Arena handle of the captured record bytes (capture_records_ only).
     std::uint32_t record_offset = 0;

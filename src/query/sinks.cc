@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "hash/hasher.h"
+#include "join/join_output.h"
 
 namespace tertio::query {
 namespace {
@@ -24,14 +25,10 @@ std::uint64_t HashKeyVector(const std::vector<Value>& key) {
       std::memcpy(&bits, d, sizeof(bits));
       element ^= hash::HashKey(bits);
     } else {
-      // FNV-1a over the string bytes, then one splitmix64 finalizer.
+      // The join layer's byte digest (already fully avalanched).
       const auto& s = std::get<std::string>(value);
-      std::uint64_t fnv = 1469598103934665603ULL;
-      for (char c : s) {
-        fnv ^= static_cast<std::uint8_t>(c);
-        fnv *= 1099511628211ULL;
-      }
-      element ^= hash::HashKey(static_cast<std::int64_t>(fnv));
+      element ^= join::HashBytes(
+          std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
     }
     digest = hash::HashKey(static_cast<std::int64_t>(digest ^ element));
   }

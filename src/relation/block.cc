@@ -59,13 +59,8 @@ Result<BlockReader> BlockReader::Open(const BlockPayload& payload, const Schema*
   if (kBlockHeaderBytes + count * schema->record_bytes() > payload->size()) {
     return Status::InvalidArgument("block record count exceeds payload size");
   }
-  return BlockReader(payload, schema, count);
-}
-
-std::span<const uint8_t> BlockReader::record(std::uint64_t i) const {
-  TERTIO_CHECK(i < count_, "record index out of range");
-  const uint8_t* base = payload_->data() + kBlockHeaderBytes.value() + i * schema_->record_bytes().value();
-  return std::span<const uint8_t>(base, schema_->record_bytes().value());
+  return BlockReader(payload, payload->data() + kBlockHeaderBytes.value(),
+                     schema->record_bytes().value(), count);
 }
 
 }  // namespace tertio::rel

@@ -56,15 +56,24 @@ class BlockReader {
 
   std::uint64_t record_count() const { return count_; }
 
-  /// Raw bytes of record `i`.
-  std::span<const uint8_t> record(std::uint64_t i) const;
+  /// Raw bytes of record `i`: records are packed at a fixed stride, so this
+  /// is one multiply-add, inlined into the per-record join loops.
+  std::span<const uint8_t> record(std::uint64_t i) const {
+    TERTIO_CHECK(i < count_, "record index out of range");
+    return std::span<const uint8_t>(records_ + i * stride_, stride_);
+  }
 
  private:
-  BlockReader(BlockPayload payload, const Schema* schema, std::uint64_t count)
-      : payload_(std::move(payload)), schema_(schema), count_(count) {}
+  BlockReader(BlockPayload payload, const uint8_t* records, std::size_t stride,
+              std::uint64_t count)
+      : payload_(std::move(payload)),
+        records_(records),
+        stride_(stride),
+        count_(count) {}
 
   BlockPayload payload_;
-  const Schema* schema_;
+  const uint8_t* records_;  // first record, just past the header
+  std::size_t stride_;  // record size: records are packed back-to-back
   std::uint64_t count_;
 };
 

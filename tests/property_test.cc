@@ -21,14 +21,22 @@ struct Geometry {
   uint64_t s_tuples;
   BlockCount memory_blocks;
   BlockCount disk_blocks;
+  ByteCount record_bytes;
+  /// Every method must accept the geometry (no refusal path).
+  bool all_feasible;
 };
 
 // Three regimes: comfortable, memory-tight, disk-tight (tape-tape only for
-// the disk-tight one — disk-tape methods are expected to refuse it).
+// the disk-tight one — disk-tape methods are expected to refuse it). The
+// fourth reruns the memory-tight regime at 47-byte records (32 + 8 + 4 + 3),
+// which are not a whole number of 8-byte words: every record digest then
+// runs the stripe, word, 4-byte and single-byte steps of join::HashBytes
+// through the real join paths.
 const Geometry kGeometries[] = {
-    {300, 1500, 24, 96},   // comfortable
-    {600, 1800, 14, 128},  // memory-tight
-    {600, 1800, 20, 40},   // disk-tight: D < |R| = 60 blocks
+    {300, 1500, 24, 96, 100, false},   // comfortable
+    {600, 1800, 14, 128, 100, false},  // memory-tight
+    {600, 1800, 20, 40, 100, false},   // disk-tight: D < |R| = 60 blocks
+    {600, 1800, 14, 128, 47, true},    // memory-tight, record not a word multiple
 };
 
 using Param = std::tuple<JoinMethodId, int>;
@@ -60,6 +68,7 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   r_config.tuple_count = geo.r_tuples;
   r_config.keys = rel::KeySequence::kSequentialUnique;
   r_config.seed = 101 + geo_index;
+  r_config.record_bytes = geo.record_bytes;
   auto r = rel::GenerateOnTape(r_config, &machine.tape_r());
   rel::GeneratorConfig s_config;
   s_config.name = "S";
@@ -67,6 +76,7 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   s_config.keys = rel::KeySequence::kForeignKeyUniform;
   s_config.key_domain = geo.r_tuples;
   s_config.seed = 202 + geo_index;
+  s_config.record_bytes = geo.record_bytes;
   auto s = rel::GenerateOnTape(s_config, &machine.tape_s());
   ASSERT_TRUE(r.ok() && s.ok());
   machine.MountTapes();
@@ -79,6 +89,9 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
 
   auto requirements = executor->Requirements(spec, ctx);
   auto stats = executor->Execute(spec, ctx);
+  if (geo.all_feasible) {
+    ASSERT_TRUE(stats.ok()) << stats.status();
+  }
   if (!stats.ok()) {
     // A method may refuse a geometry, but then it must be a resource error
     // and (when requirements are computable) the requirements must exceed
@@ -131,7 +144,7 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByGeometry, PropertyTest,
-    ::testing::Combine(::testing::ValuesIn(kAllJoinMethods), ::testing::Values(0, 1, 2)),
+    ::testing::Combine(::testing::ValuesIn(kAllJoinMethods), ::testing::Values(0, 1, 2, 3)),
     PropertyTest::Name);
 
 /// Checksum is permutation-independent: two methods joining the same inputs

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Full verify flow: static analysis first (tertio_lint, and clang-tidy when
-# installed), then tier-1 build + tests (RelWithDebInfo), a bench smoke run
-# that must produce BENCH_joins.json, then the sanitizer passes — ASan+UBSan
-# over the fault/error-path and SimSan tests and TSan over the parallel-sweep
-# and query-service tests — so every recovery branch and every driver
-# interleaving runs
-# sanitizer-checked. The asan/tsan presets build with TERTIO_SIMSAN=ON, so
-# every test in those passes also runs under the simulation invariant
-# auditor (sim/auditor.h) with hard-fail at Simulation destruction.
+# installed), then tier-1 build + tests (RelWithDebInfo, -Werror via
+# TERTIO_WERROR=ON in the default preset, so a warning fails the build even
+# where clang-tidy is not installed), a bench smoke run that must produce
+# BENCH_joins.json, then the sanitizer passes — ASan+UBSan over the
+# fault/error-path, SimSan, cache and record-digest tests and TSan over the
+# parallel-sweep and query-service tests — so every recovery branch and every
+# thread interleaving those tests drive runs sanitizer-checked. The asan/tsan presets build with
+# TERTIO_SIMSAN=ON, so every test in those passes also runs under the
+# simulation invariant auditor (sim/auditor.h) with hard-fail at Simulation
+# destruction.
 # Presets live in CMakePresets.json.
 #
 # Usage: tools/verify.sh [--fast]
@@ -33,7 +35,7 @@ else
   echo "== static analysis: clang-tidy not installed, skipping (CI runs it) =="
 fi
 
-echo "== tier-1: configure + build + ctest (preset: default) =="
+echo "== tier-1: configure + build (-Werror) + ctest (preset: default) =="
 cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
@@ -115,10 +117,10 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/digest tests (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache' -j"$(nproc)"
+ctest --preset asan -L 'faults|simsan|cache|digest' -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
