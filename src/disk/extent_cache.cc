@@ -21,7 +21,7 @@ bool ExtentCache::Contains(const void* volume, BlockIndex start, BlockCount coun
 bool ExtentCache::Lookup(const void* volume, BlockIndex start, BlockCount count, SimSeconds now) {
   ++stats_.lookups;
   auto it = entries_.find(Key{volume, start, count});
-  if (it == entries_.end() || now < it->second.ready) {
+  if (it == entries_.end()) {
     ++stats_.misses;
     return false;
   }
@@ -85,7 +85,6 @@ Result<bool> ExtentCache::Admit(const void* volume, BlockIndex start, BlockCount
 
   Entry entry;
   entry.extents = std::move(extents);
-  entry.ready = write.value().end;
   entry.last_use = std::max(now, write.value().end);
   BytesPerSecond disk_rate = view_->aggregate_rate_bps();
   if (tape_rate_bps > 0.0 && disk_rate > 0.0 && disk_rate > tape_rate_bps) {

@@ -79,7 +79,9 @@ class ExtentCache {
   bool Contains(const void* volume, BlockIndex start, BlockCount count) const;
 
   /// Hit test that counts: bumps lookups and hits/misses, and refreshes the
-  /// entry's recency at `now` on a hit.
+  /// entry's recency at `now` on a hit. An admitted entry hits even while
+  /// its fill write is still landing: the spindles serve requests in order,
+  /// so every read-through queues behind the fill that wrote its blocks.
   bool Lookup(const void* volume, BlockIndex start, BlockCount count, SimSeconds now);
 
   /// Admits the extent, evicting lower-scored entries until it fits, and
@@ -108,12 +110,6 @@ class ExtentCache {
 
   struct Entry {
     ExtentList extents;
-    /// Virtual time the entry's fill write completed; a Lookup earlier than
-    /// this misses (the copy is still being written). Serial query streams
-    /// never observe this — their lookups happen at a horizon that already
-    /// covers the fill — but a concurrently dispatched query's start may
-    /// precede another session's fill.
-    SimSeconds ready = 0.0;
     SimSeconds last_use = 0.0;
     /// Seconds one full re-read saves coming from disk instead of tape.
     SimSeconds benefit_seconds = 0.0;

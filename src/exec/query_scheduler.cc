@@ -89,27 +89,9 @@ void QueryScheduler::Unindex(const JoinRequest& request) {
   if (it->second.empty()) cartridge_queues_.erase(it);
 }
 
-JoinRequest QueryScheduler::PopNext() {
-  auto best = std::min_element(queue_.begin(), queue_.end(),
-                               [](const JoinRequest& a, const JoinRequest& b) {
-                                 if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                                 return a.id < b.id;
-                               });
-  JoinRequest request = std::move(*best);
-  queue_.erase(best);
-  Unindex(request);
-  return request;
-}
-
 bool QueryScheduler::IsQueued(std::uint64_t id) const {
   return std::any_of(queue_.begin(), queue_.end(),
                      [id](const JoinRequest& r) { return r.id == id; });
-}
-
-void QueryScheduler::Requeue(JoinRequest request) {
-  Result<int> slot = site_->library()->SlotOf(request.spec.s->volume);
-  if (slot.ok()) cartridge_queues_[*slot].push_back(request.id);
-  queue_.push_back(std::move(request));
 }
 
 JoinRequest QueryScheduler::Take(std::uint64_t id) {
@@ -140,26 +122,34 @@ std::vector<int> QueryScheduler::PreferredDrivesFor(const JoinRequest& request) 
   return {want_r, want_s};
 }
 
-QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
-  QueryOutcome out;
+void QueryScheduler::Dispatch(JoinRequest request, SimSeconds at, bool rider) {
+  InFlight& record = in_flight_.emplace_back();
+  record.seq = next_seq_++;
+  record.dispatch = at;
+  record.s = request.spec.s;
+  record.rider = rider;
+  peak_in_flight_ = std::max<std::uint64_t>(peak_in_flight_, in_flight_.size());
+  clock_ = at;
+  QueryOutcome& out = record.outcome;
   out.id = request.id;
   out.arrival = request.arrival;
-  out.scan_shared = scan_shared;
+  // A failure below completes the query at its dispatch time (the global
+  // horizon may be another in-flight session's future, not this query's).
+  out.start = at;
+  out.completion = at;
 
   SessionResources res;
   res.name = StrFormat("q%llu", static_cast<unsigned long long>(request.id));
   res.memory_blocks = request.memory_blocks;
   res.disk_blocks = request.disk_blocks;
-  // Route the session onto drives already holding its cartridges. On a
-  // 2-drive site with the legacy R-in-drive-0 / S-in-drive-1 mount history
-  // this reproduces the legacy [0, 1] pick exactly; on wider sites it keeps
-  // a query whose cartridge another session left mounted executable.
+  // Route the session onto drives already holding its cartridges: a rider
+  // lands on the drive carrying its window, and a query whose cartridge
+  // another session left mounted stays executable.
   res.preferred_drives = PreferredDrivesFor(request);
   Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
   if (!session.ok()) {
     out.status = session.status();
-    out.completion = site_->sim().Horizon();
-    return out;
+    return;
   }
 
   tape::TapeLibrary* library = site_->library();
@@ -167,37 +157,36 @@ QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
   Result<int> s_slot = library->SlotOf(request.spec.s->volume);
   // Admission checked residency; a cartridge cannot leave the library.
   TERTIO_CHECK(r_slot.ok() && s_slot.ok(), "admitted relation left the library");
-  SimSeconds cursor = std::max(site_->sim().Horizon(), request.arrival);
-  Result<sim::Interval> mounted_r = (*session)->MountR(*r_slot, cursor);
-  Result<sim::Interval> mounted_s =
-      mounted_r.ok() ? (*session)->MountS(*s_slot, cursor) : mounted_r;
+  Result<sim::Interval> mounted_r = (*session)->MountR(*r_slot, at);
+  Result<sim::Interval> mounted_s = mounted_r.ok() ? (*session)->MountS(*s_slot, at) : mounted_r;
   if (!mounted_s.ok()) {
     out.status = mounted_s.status();
-    out.completion = site_->sim().Horizon();
-    return out;
+    return;
   }
+  // The join anchors exactly when this query's mounts are done — not at the
+  // global horizon, which may include other sessions' work and trailing
+  // asynchronous writes.
+  SimSeconds start = std::max(at, std::max(mounted_r->end, mounted_s->end));
 
-  // A scan-shared follower rides the leader's multicast window for free;
-  // otherwise probe the extent cache, arming the S drive's cache window on
-  // a hit so the S passes read the disk copy.
+  // A rider's S reads are multicast from its window; anyone else probes the
+  // extent cache, arming the S drive's cache window on a hit so the S
+  // passes read the disk copy.
   disk::ExtentCache* cache = site_->extent_cache();
   bool cache_hit = false;
-  if (cache != nullptr && !scan_shared) {
-    cache_hit = (*session)->EnableCachedSRead(*request.spec.s, site_->sim().Horizon());
+  if (cache != nullptr && !rider) {
+    cache_hit = (*session)->EnableCachedSRead(*request.spec.s, start);
   }
 
-  join::JoinContext ctx = (*session)->context(request.arrival);
+  join::JoinContext ctx = (*session)->context(start);
+  ctx.exact_anchor = true;
   std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(request.method);
   TERTIO_CHECK(executor != nullptr, "unknown join method");
-  // The join anchors exactly here (join_common.h StatsScope), so the
-  // service-level start is known before execution.
-  out.start = std::max(site_->sim().Horizon(), request.arrival);
   Result<join::JoinStats> stats = executor->Execute(request.spec, ctx);
   if (!stats.ok()) {
     out.status = stats.status();
-    out.completion = site_->sim().Horizon();
-    return out;
+    return;
   }
+  out.start = start;
   out.stats = std::move(*stats);
   out.completion = out.start + out.stats.response_seconds;
   out.scan_shared = out.stats.tape_blocks_shared > 0;
@@ -209,77 +198,11 @@ QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
     // write) only costs the copy — the query itself already succeeded.
     const rel::Relation& s = *request.spec.s;
     (void)cache->Admit(s.volume, s.start_block, s.blocks,  // failure only skips the copy
-                       site_->EffectiveTapeRate(s.compressibility), site_->sim().Horizon());
-  }
-  return out;
-}
-
-QueryOutcome QueryScheduler::ExecuteConcurrent(JoinRequest request, SimSeconds dispatch,
-                                               std::unique_ptr<QuerySession>* session_out) {
-  QueryOutcome out;
-  out.id = request.id;
-  out.arrival = request.arrival;
-  // A failure below completes the query at its dispatch time (the global
-  // horizon is another in-flight session's future, not this query's).
-  out.start = dispatch;
-  out.completion = dispatch;
-
-  SessionResources res;
-  res.name = StrFormat("q%llu", static_cast<unsigned long long>(request.id));
-  res.memory_blocks = request.memory_blocks;
-  res.disk_blocks = request.disk_blocks;
-  res.preferred_drives = PreferredDrivesFor(request);
-  Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
-  if (!session.ok()) {
-    out.status = session.status();
-    return out;
-  }
-
-  tape::TapeLibrary* library = site_->library();
-  Result<int> r_slot = library->SlotOf(request.spec.r->volume);
-  Result<int> s_slot = library->SlotOf(request.spec.s->volume);
-  TERTIO_CHECK(r_slot.ok() && s_slot.ok(), "admitted relation left the library");
-  Result<sim::Interval> mounted_r = (*session)->MountR(*r_slot, dispatch);
-  Result<sim::Interval> mounted_s =
-      mounted_r.ok() ? (*session)->MountS(*s_slot, dispatch) : mounted_r;
-  if (!mounted_s.ok()) {
-    out.status = mounted_s.status();
-    return out;
-  }
-  // The join anchors exactly when this query's mounts are done — not at the
-  // global horizon, which includes the other in-flight sessions' work.
-  SimSeconds start = std::max(dispatch, std::max(mounted_r->end, mounted_s->end));
-
-  disk::ExtentCache* cache = site_->extent_cache();
-  bool cache_hit = false;
-  if (cache != nullptr) {
-    cache_hit = (*session)->EnableCachedSRead(*request.spec.s, start);
-  }
-
-  join::JoinContext ctx = (*session)->context(start);
-  ctx.exact_anchor = true;
-  std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(request.method);
-  TERTIO_CHECK(executor != nullptr, "unknown join method");
-  out.start = start;
-  Result<join::JoinStats> stats = executor->Execute(request.spec, ctx);
-  if (!stats.ok()) {
-    out.status = stats.status();
-    return out;
-  }
-  out.stats = std::move(*stats);
-  out.completion = out.start + out.stats.response_seconds;
-  out.scan_shared = out.stats.tape_blocks_shared > 0;
-  out.cached = out.stats.tape_blocks_cached > 0;
-
-  if (cache != nullptr && !cache_hit && !out.scan_shared) {
-    const rel::Relation& s = *request.spec.s;
-    (void)cache->Admit(s.volume, s.start_block, s.blocks,  // failure only skips the copy
                        site_->EffectiveTapeRate(s.compressibility), out.completion);
   }
   // The session stays open (drives, M_q, D_q held) until the query retires
   // in virtual-completion order.
-  *session_out = std::move(*session);
-  return out;
+  record.session = std::move(*session);
 }
 
 bool QueryScheduler::ResourcesFit(const JoinRequest& request) {
@@ -297,20 +220,6 @@ bool QueryScheduler::ResourcesFit(const JoinRequest& request) {
   }
   if (site_->disks().allocator().free_blocks() < request.disk_blocks) return false;
   return true;
-}
-
-bool QueryScheduler::HasArrivedFollowers(const JoinRequest& leader, SimSeconds when) const {
-  Result<int> slot = site_->library()->SlotOf(leader.spec.s->volume);
-  if (!slot.ok()) return false;
-  auto it = cartridge_queues_.find(*slot);
-  if (it == cartridge_queues_.end()) return false;
-  for (std::uint64_t id : it->second) {
-    if (id == leader.id) continue;
-    auto pos = std::find_if(queue_.begin(), queue_.end(),
-                            [id](const JoinRequest& r) { return r.id == id; });
-    if (pos != queue_.end() && pos->arrival <= when) return true;
-  }
-  return false;
 }
 
 std::uint64_t QueryScheduler::PickElevator() {
@@ -370,6 +279,10 @@ std::uint64_t QueryScheduler::PickElevator() {
 
 std::uint64_t QueryScheduler::PickCandidate() {
   if (queue_.empty()) return 0;
+  // Riders go first while their window lives; an unload by another session
+  // (TapeDrive::Unload) kills a window, and its riders queue normally.
+  std::erase_if(riders_, [](const Rider& r) { return !r.drive->shared_pass_active(); });
+  if (!riders_.empty()) return riders_.front().id;
   if (policy_ == ServicePolicy::kElevator) return PickElevator();
   auto best = std::min_element(queue_.begin(), queue_.end(),
                                [](const JoinRequest& a, const JoinRequest& b) {
@@ -392,84 +305,47 @@ void QueryScheduler::RetireEarliest() {
   }
   InFlight record = std::move(in_flight_[pick]);
   in_flight_.erase(in_flight_.begin() + static_cast<std::ptrdiff_t>(pick));
-  // Close the session first (legacy order: resources return before the
-  // completion callback observes the outcome).
+  // Close the session first: resources return before the completion
+  // callback observes the outcome.
   record.session.reset();
+  // A leader that failed never swept S, so there is nothing to ride; the
+  // queries on its cartridge wait their regular turn.
+  if (policy_ == ServicePolicy::kSharedScan && !record.rider && record.outcome.status.ok()) {
+    ArmRiderWindow(*record.s, record.dispatch);
+  }
   clock_ = std::max(clock_, record.outcome.completion);
   outcomes_.push_back(std::move(record.outcome));
   if (on_complete_) on_complete_(outcomes_.back());
 }
 
-void QueryScheduler::RunSerialGroup(JoinRequest leader) {
-  SimSeconds leader_start = std::max(site_->sim().Horizon(), leader.arrival);
-
-  // Under kSharedScan, queued joins on the leader's S cartridge that have
-  // already arrived ride its pass instead of paying their own.
-  std::vector<JoinRequest> followers;
-  if (policy_ == ServicePolicy::kSharedScan) {
-    Result<int> slot = site_->library()->SlotOf(leader.spec.s->volume);
-    if (slot.ok()) {
-      std::vector<std::uint64_t> ids;
-      if (auto it = cartridge_queues_.find(*slot); it != cartridge_queues_.end()) {
-        ids.assign(it->second.begin(), it->second.end());
-      }
-      for (std::uint64_t id : ids) {
-        auto pos = std::find_if(queue_.begin(), queue_.end(),
-                                [id](const JoinRequest& r) { return r.id == id; });
-        if (pos != queue_.end() && pos->arrival <= leader_start) {
-          followers.push_back(Take(id));
-        }
-      }
-      // The cartridge index holds ids in submission order, which a
-      // closed-loop client's Submit() interleaving can permute; execute
-      // followers in (arrival, id) order so outcomes never depend on it.
-      std::sort(followers.begin(), followers.end(),
-                [](const JoinRequest& a, const JoinRequest& b) {
-                  if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                  return a.id < b.id;
-                });
+void QueryScheduler::ArmRiderWindow(const rel::Relation& s, SimSeconds dispatch) {
+  Result<int> slot = site_->library()->SlotOf(s.volume);
+  if (!slot.ok()) return;
+  auto queued = cartridge_queues_.find(*slot);
+  tape::TapeDrive* holder = site_->library()->MountedIn(*slot);
+  if (queued == cartridge_queues_.end() || holder == nullptr) return;
+  std::size_t before = riders_.size();
+  for (std::uint64_t id : queued->second) {
+    auto pos = std::find_if(queue_.begin(), queue_.end(),
+                            [id](const JoinRequest& r) { return r.id == id; });
+    if (pos != queue_.end() && pos->arrival <= dispatch) {
+      riders_.push_back({id, pos->arrival, holder});
     }
   }
-
-  const rel::Relation* leader_s = leader.spec.s;
-  QueryOutcome lead_out = ExecuteOne(std::move(leader), /*scan_shared=*/false);
-  bool lead_ok = lead_out.status.ok();
-  clock_ = std::max(clock_, lead_out.completion);
-  outcomes_.push_back(std::move(lead_out));
-  if (on_complete_) on_complete_(outcomes_.back());
-  peak_in_flight_ = std::max<std::uint64_t>(peak_in_flight_, 1);
-
-  if (!followers.empty()) {
-    if (!lead_ok) {
-      // The leader failed, so its pass never swept S and there is nothing
-      // to ride. Executing the followers here anyway would jump them over
-      // every earlier-arrived query on other cartridges (priority
-      // inversion); put them back instead — PopNext re-serves them in
-      // plain arrival order, and one of them becomes a leader in its own
-      // right. (No livelock: the failed leader's outcome is recorded, not
-      // requeued.)
-      for (JoinRequest& follower : followers) Requeue(std::move(follower));
-      return;
-    }
-    // The leader's pass swept its S relation's blocks; declare them a
-    // shared window on the drive still holding the cartridge so the
-    // followers' S reads are multicast instead of re-read. (The window is
-    // drive state: it survives the followers' session churn as long as
-    // the cartridge stays mounted.)
-    tape::TapeDrive* holder = nullptr;
-    Result<int> slot = site_->library()->SlotOf(leader_s->volume);
-    if (slot.ok()) holder = site_->library()->MountedIn(*slot);
-    if (holder != nullptr) {
-      holder->SetSharedPassWindow(leader_s->start_block, leader_s->blocks);
-    }
-    for (JoinRequest& follower : followers) {
-      QueryOutcome out = ExecuteOne(std::move(follower), holder != nullptr);
-      clock_ = std::max(clock_, out.completion);
-      outcomes_.push_back(std::move(out));
-      if (on_complete_) on_complete_(outcomes_.back());
-    }
-    if (holder != nullptr) holder->ClearSharedPassWindow();
-  }
+  if (riders_.size() == before) return;
+  // The leader's pass swept its S relation's blocks; declaring them a
+  // shared window on the drive still holding the cartridge multicasts the
+  // riders' S reads instead of re-reading them. The window is drive state:
+  // it survives the riders' session churn while the cartridge stays
+  // mounted.
+  holder->SetSharedPassWindow(s.start_block, s.blocks);
+  // The cartridge index holds ids in submission order, which a closed-loop
+  // client's Submit() interleaving can permute; riders dispatch in
+  // (arrival, id) order so outcomes never depend on it.
+  std::sort(riders_.begin(), riders_.end(), [](const Rider& a, const Rider& b) {
+    if (a.arrival != b.arrival) return a.arrival < b.arrival;
+    return a.id < b.id;
+  });
 }
 
 Status QueryScheduler::Run() {
@@ -484,19 +360,15 @@ Status QueryScheduler::Run() {
   // visible to every later dispatch decision, and outcomes_ is ordered by
   // virtual completion time.
   while (!queue_.empty() || !in_flight_.empty()) {
-    std::uint64_t candidate_id = PickCandidate();
+    // A full service retires before it picks: nothing could start, and the
+    // retirement's closed-loop submissions may change the pick.
+    bool full = static_cast<int>(in_flight_.size()) >= options_.max_in_flight;
+    std::uint64_t candidate_id = full ? 0 : PickCandidate();
     if (candidate_id == 0) {
-      // Nothing queued: retire in-flight work (closed-loop clients may
-      // submit more from the completions) until the service is idle.
+      // Full or nothing queued: retire in-flight work (closed-loop clients
+      // may submit more from the completions) until the service is idle.
       if (in_flight_.empty()) break;
       RetireEarliest();
-      continue;
-    }
-    if (options_.max_in_flight <= 1) {
-      // Serial capacity: the legacy path, bit-identical to the serial
-      // scheduler. Admission shortfalls execute anyway and fail into their
-      // outcomes, as the legacy scheduler did.
-      RunSerialGroup(Take(candidate_id));
       continue;
     }
     auto pos = std::find_if(queue_.begin(), queue_.end(),
@@ -519,37 +391,23 @@ Status QueryScheduler::Run() {
         continue;
       }
     }
-    bool fits = static_cast<int>(in_flight_.size()) < options_.max_in_flight &&
-                ResourcesFit(*candidate);
-    if (!fits) {
-      if (in_flight_.empty()) {
-        // The demand exceeds even an idle site: execute serially anyway and
-        // fail into the outcome, exactly the legacy behavior.
-        RunSerialGroup(Take(candidate_id));
-      } else {
-        RetireEarliest();
-      }
+    if (!ResourcesFit(*candidate) && !in_flight_.empty()) {
+      RetireEarliest();
       continue;
     }
-    if (policy_ == ServicePolicy::kSharedScan && HasArrivedFollowers(*candidate, dispatch)) {
-      // A shared-scan group wants to form around this candidate. Groups
-      // execute as one serial unit (the multicast window spans the whole
-      // pass); drain the in-flight sessions so the group starts clean.
-      if (in_flight_.empty()) {
-        RunSerialGroup(Take(candidate_id));
-      } else {
-        RetireEarliest();
-      }
-      continue;
+    // Either the candidate fits, or its demand exceeds even an idle site:
+    // it is dispatched anyway and fails into its outcome.
+    auto rider = std::find_if(riders_.begin(), riders_.end(),
+                              [candidate_id](const Rider& r) { return r.id == candidate_id; });
+    tape::TapeDrive* window = rider != riders_.end() ? rider->drive : nullptr;
+    if (window != nullptr) riders_.erase(rider);
+    Dispatch(Take(candidate_id), dispatch, window != nullptr);
+    // The window closes once its last rider has dispatched.
+    if (window != nullptr &&
+        std::none_of(riders_.begin(), riders_.end(),
+                     [window](const Rider& r) { return r.drive == window; })) {
+      window->ClearSharedPassWindow();
     }
-    InFlight record;
-    record.seq = next_seq_++;
-    JoinRequest request = Take(candidate_id);
-    clock_ = dispatch;
-    record.outcome = ExecuteConcurrent(std::move(request), dispatch, &record.session);
-    in_flight_.push_back(std::move(record));
-    peak_in_flight_ =
-        std::max<std::uint64_t>(peak_in_flight_, in_flight_.size());
   }
   makespan_ = site_->sim().Horizon();
   if (site_->library() != nullptr) {

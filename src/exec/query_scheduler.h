@@ -6,12 +6,13 @@
 /// The scheduler accepts a stream of JoinRequests, admission-checks each
 /// against the site's memory/disk/drive budgets, and executes admitted
 /// queries against per-query sessions. Requests are indexed by the cartridge
-/// their outer (S) relation lives on; under the kSharedScan policy, queued
-/// joins whose S cartridge is about to be swept piggyback on the leader's
-/// sequential pass — their S reads are multicast from the one physical pass
-/// (tape/tape_drive.h shared-pass window) instead of re-reading the tape.
-/// This is the service-level counterpart of the Postgres/Paradise batching
-/// the paper cites in Section 2.
+/// their outer (S) relation lives on; under the kSharedScan policy, when a
+/// leader's sequential S pass retires, the queued joins on that cartridge
+/// that had arrived by the leader's dispatch ride its pass — their S reads
+/// are multicast from the one physical pass (tape/tape_drive.h shared-pass
+/// window) instead of re-reading the tape. This is the service-level
+/// counterpart of the Postgres/Paradise batching the paper cites in
+/// Section 2.
 
 #include <cstdint>
 #include <deque>
@@ -30,8 +31,8 @@ namespace tertio::exec {
 enum class ServicePolicy : std::uint8_t {
   /// Strict arrival order, every query pays its own tape passes.
   kFifo,
-  /// Arrival order for leaders, but queued joins on the leader's S
-  /// cartridge join its pass (scan sharing).
+  /// Arrival order, except that queued joins on a retired leader's S
+  /// cartridge ride its pass first (scan sharing).
   kSharedScan,
   /// Elevator (SCAN) over library slots: among arrived queries, dispatch the
   /// one whose S cartridge is nearest the robot's sweep position in the
@@ -44,10 +45,10 @@ enum class ServicePolicy : std::uint8_t {
 
 /// Dispatch-loop knobs (policy-independent).
 struct SchedulerOptions {
-  /// Maximum QuerySessions in flight at once. 1 (the default) reproduces
-  /// the serial scheduler bit-for-bit; higher values overlap admitted
-  /// queries in virtual time whenever the site's free drives, memory and
-  /// session disk space cover another request.
+  /// Maximum QuerySessions in flight at once. 1 (the default) serves one
+  /// query at a time; higher values overlap admitted queries in virtual
+  /// time whenever the site's free drives, memory and session disk space
+  /// cover another request. Every cap runs the same dispatch loop.
   int max_in_flight = 1;
   /// kElevator only: once a queued, already-arrived query has been bypassed
   /// by the sweep for longer than this, it is dispatched next regardless of
@@ -116,7 +117,8 @@ struct ServiceStats {
   SimSeconds makespan = 0.0;
 };
 
-/// Admission control + per-cartridge queues + scan-shared execution.
+/// Admission control + per-cartridge queues + one event-driven dispatch
+/// loop, with kSharedScan riders served from a retired leader's pass.
 class QueryScheduler {
  public:
   QueryScheduler(Site* site, ServicePolicy policy, SchedulerOptions options = {});
@@ -142,13 +144,12 @@ class QueryScheduler {
 
   /// Drains the queue (including queries submitted from on_complete) with an
   /// event-driven dispatch loop. With in-flight capacity and resources to
-  /// spare, the policy's next candidate is dispatched on its own session;
-  /// otherwise the earliest completion retires first (virtual-time order, so
-  /// closed-loop clients observe completions in order). With
-  /// max_in_flight=1 every dispatch happens on an otherwise-idle service and
-  /// takes the serial path, bit-identical to the legacy scheduler. Per-query
-  /// failures land in their outcomes; Run itself fails only on
-  /// service-level invariants.
+  /// spare, the policy's next candidate is dispatched on its own session,
+  /// its join anchored exactly at its own mount completion; otherwise the
+  /// earliest completion retires first (virtual-time order, so closed-loop
+  /// clients observe completions in order). max_in_flight=1 is the same
+  /// loop with room for one session. Per-query failures land in their
+  /// outcomes; Run itself fails only on service-level invariants.
   Status Run();
 
   const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
@@ -162,33 +163,36 @@ class QueryScheduler {
     std::unique_ptr<QuerySession> session;
     /// Dispatch order, the retirement tie-break at equal completions.
     std::uint64_t seq = 0;
+    /// Dispatch time and S relation: a retiring kSharedScan leader arms its
+    /// rider window from them.
+    SimSeconds dispatch = 0.0;
+    const rel::Relation* s = nullptr;
+    /// True when the query rode another query's pass (riders lead nothing).
+    bool rider = false;
   };
 
-  /// Pops the earliest-arrived request (ties by id).
-  JoinRequest PopNext();
+  /// A queued request riding a retired leader's S pass: multicast from the
+  /// shared-pass window armed on `drive`.
+  struct Rider {
+    std::uint64_t id = 0;
+    SimSeconds arrival = 0.0;
+    tape::TapeDrive* drive = nullptr;
+  };
+
   /// Removes request `id` from `queue_` and returns it.
   JoinRequest Take(std::uint64_t id);
   void Unindex(const JoinRequest& request);
-  /// Returns a popped request to the queue (and the cartridge index) with
-  /// its id and arrival intact — used when a follower's leader failed and
-  /// the follower must wait its regular turn instead.
-  void Requeue(JoinRequest request);
   /// True when `id` is already on the pending queue.
   bool IsQueued(std::uint64_t id) const;
-  /// Executes one query on its own session; fills and records the outcome.
-  /// The serial path: anchors at the global horizon, exactly the legacy
-  /// scheduler's behavior.
-  QueryOutcome ExecuteOne(JoinRequest request, bool scan_shared);
-  /// Executes one query dispatched at `dispatch` while other sessions are in
-  /// flight: the join anchors exactly at its own mount-completion time
-  /// (JoinContext::exact_anchor), not the poisoned global horizon. On
-  /// success `*session_out` keeps the session alive until retirement.
-  QueryOutcome ExecuteConcurrent(JoinRequest request, SimSeconds dispatch,
-                                 std::unique_ptr<QuerySession>* session_out);
-  /// Runs one serial leader iteration (plus its shared-scan followers under
-  /// kSharedScan) exactly as the legacy scheduler did.
-  void RunSerialGroup(JoinRequest leader);
+  /// Opens `request`'s session at virtual time `at`, mounts its cartridges
+  /// and executes its join anchored exactly at the later of `at` and its own
+  /// mount completion (JoinContext::exact_anchor), then records it in flight
+  /// until retirement. A `rider` skips the extent-cache probe: its S reads
+  /// come from the armed shared-pass window. A failure completes the query
+  /// at `at` and releases its session at once.
+  void Dispatch(JoinRequest request, SimSeconds at, bool rider);
   /// The id of the request the policy would dispatch next (0 = empty queue).
+  /// Riders of a live window go first, in (arrival, id) order.
   std::uint64_t PickCandidate();
   /// kElevator: the eligible request nearest the sweep position in the sweep
   /// direction, unless one has aged past the bound (then the oldest).
@@ -204,11 +208,13 @@ class QueryScheduler {
   /// already holding its cartridges.
   std::vector<int> PreferredDrivesFor(const JoinRequest& request) const;
   /// Retires the earliest-completing in-flight query: closes its session,
-  /// records the outcome, fires on_complete, advances the retirement clock.
+  /// arms its rider window (a successful kSharedScan leader), records the
+  /// outcome, fires on_complete, advances the retirement clock.
   void RetireEarliest();
-  /// True when another queued request shares `leader`'s S slot and has
-  /// arrived by `when` (a shared-scan group wants to form).
-  bool HasArrivedFollowers(const JoinRequest& leader, SimSeconds when) const;
+  /// Declares the pass a kSharedScan leader swept over `s` a shared-pass
+  /// window on the drive still holding its cartridge, and makes riders of
+  /// the requests queued on that cartridge that had arrived by `dispatch`.
+  void ArmRiderWindow(const rel::Relation& s, SimSeconds dispatch);
 
   Site* site_;
   ServicePolicy policy_;
@@ -223,6 +229,8 @@ class QueryScheduler {
   std::vector<QueryOutcome> outcomes_;
   /// Dispatched, not yet retired (their completions are already simulated).
   std::vector<InFlight> in_flight_;
+  /// Riders of every live shared-pass window, (arrival, id) order.
+  std::vector<Rider> riders_;
   /// Virtual dispatch cursor: max of all dispatch times and retired
   /// completions so far. The next dispatch happens at max(clock_, arrival).
   SimSeconds clock_ = 0.0;

@@ -33,7 +33,7 @@ struct SessionResources {
   /// Positional drive preferences: preferred_drives[0] is the wanted R
   /// drive, [1] the wanted S drive, -1 (or absent) = no preference. A
   /// preferred drive is taken when free (the scheduler routes a shared-scan
-  /// follower onto the drive that already holds the leader's S cartridge);
+  /// rider onto the drive that already holds the leader's S cartridge);
   /// empty reproduces the legacy lowest-indexed pick exactly.
   std::vector<int> preferred_drives;
 };
@@ -70,10 +70,8 @@ class QuerySession {
   /// If the site's extent cache holds relation `s` (which must already be
   /// mounted in the session's S drive), arms the drive's cache window so
   /// every S read inside the relation is served from the disk copy at disk
-  /// cost. `now` is the virtual time of the lookup (the query's start): an
-  /// entry still being filled at `now` does not hit, and the concurrent
-  /// scheduler must not pass the global horizon here, which may include
-  /// another in-flight session's future. The lookup counts a cache hit or
+  /// cost. `now` is the virtual time of the lookup (the query's start),
+  /// which refreshes the entry's recency. The lookup counts a cache hit or
   /// miss either way. \returns true when the window was armed. The window is
   /// disarmed when the session closes.
   bool EnableCachedSRead(const rel::Relation& s, SimSeconds now);

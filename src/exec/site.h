@@ -134,7 +134,7 @@ class Site {
   /// Leases `n` free drives as an RAII guard under `holder` (the session
   /// name; SimSan's lease-exclusivity ledger is keyed on it). Drives listed
   /// in `preferred` are taken first when free — the scheduler uses this to
-  /// route a follower onto the drive already holding its leader's cartridge —
+  /// route a rider onto the drive already holding its leader's cartridge —
   /// then the lowest-indexed free drives fill the remainder, which with an
   /// empty preference list reproduces the legacy lowest-indexed pick exactly.
   /// Fails with ResourceExhausted when fewer than `n` are free.

@@ -65,10 +65,10 @@ struct JoinContext {
   /// Anchor the join at exactly not_before instead of
   /// max(Horizon(), not_before), and measure response_seconds from
   /// per-resource horizon deltas instead of the global horizon. Set by the
-  /// concurrent scheduler when other sessions are in flight: the global
-  /// horizon then includes the *other* sessions' queued work, so anchoring
-  /// or measuring against it would serialize independent joins. Off (the
-  /// seed behavior) for the single-query path and for serial dispatch.
+  /// query service for every dispatch: the global horizon may include other
+  /// sessions' queued work, so anchoring or measuring against it would
+  /// serialize independent joins. Off (the seed behavior) for the
+  /// single-query path.
   bool exact_anchor = false;
   /// Retain every pipeline span in JoinStats::spans (per-phase summaries are
   /// always collected; full span lists of paper-scale joins are large).

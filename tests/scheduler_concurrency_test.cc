@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -225,6 +226,61 @@ TEST(SchedulerConcurrencyTest, OutcomesAreIndependentOfSubmitInterleaving) {
       EXPECT_EQ(forward, flipped);
     }
   }
+}
+
+TEST(SchedulerConcurrencyTest, SharedScanRidersOverlapAnUnrelatedQuery) {
+  // Full data: a leader and two riders on S cartridge 0, and an unrelated
+  // query B on cartridge 1 (its R on the other R cartridge), all arrived at
+  // t=0. The rider window is a scheduling preference, not a drain: B runs
+  // alongside the rider group at max_in_flight = 2.
+  auto run = [](ServicePolicy policy) {
+    auto site = std::make_unique<Site>(WideSite());
+    ServiceWorkloadConfig shape = DisjointWorkload(4, 2, 2);
+    shape.s_bytes = 64 * kKB;
+    shape.r_bytes = 16 * kKB;
+    shape.phantom = false;
+    auto workload = PrepareServiceWorkload(site.get(), shape);
+    TERTIO_CHECK(workload.ok(), "workload setup failed");
+    SchedulerOptions options;
+    options.max_in_flight = 2;
+    QueryScheduler scheduler(site.get(), policy, options);
+    // R relations 0 and 2 live on R cartridge 0, 1 and 3 on cartridge 1.
+    auto submit = [&](std::uint64_t id, int r_index, int s_index) {
+      JoinRequest r = HalfSiteRequest(site.get(), *workload, r_index, s_index, 0.0);
+      r.id = id;
+      TERTIO_CHECK(scheduler.Submit(std::move(r)).ok(), "submit failed");
+    };
+    submit(1, 0, 0);  // leader on cartridge 0
+    submit(2, 1, 1);  // B
+    submit(3, 2, 0);  // rider
+    submit(4, 0, 0);  // rider
+    Status ran = scheduler.Run();
+    TERTIO_CHECK(ran.ok(), "run failed");
+    std::map<std::uint64_t, QueryOutcome> by_id;
+    for (const QueryOutcome& out : scheduler.outcomes()) by_id[out.id] = out;
+    TERTIO_CHECK(by_id.size() == 4, "every query must produce an outcome");
+    return by_id;
+  };
+  std::map<std::uint64_t, QueryOutcome> fifo = run(ServicePolicy::kFifo);
+  std::map<std::uint64_t, QueryOutcome> shared = run(ServicePolicy::kSharedScan);
+
+  for (std::uint64_t id : {1, 2, 3, 4}) {
+    SCOPED_TRACE("query " + std::to_string(id));
+    ASSERT_TRUE(shared[id].status.ok()) << shared[id].status;
+    ASSERT_TRUE(fifo[id].status.ok()) << fifo[id].status;
+    ASSERT_TRUE(shared[id].stats.output_valid);
+    EXPECT_EQ(shared[id].stats.output_tuples, fifo[id].stats.output_tuples);
+    EXPECT_EQ(shared[id].stats.output_checksum, fifo[id].stats.output_checksum);
+  }
+  // Both riders multicast the leader's S pass; the leader and B read tape.
+  EXPECT_FALSE(shared[1].scan_shared);
+  EXPECT_FALSE(shared[2].scan_shared);
+  EXPECT_TRUE(shared[3].scan_shared);
+  EXPECT_TRUE(shared[4].scan_shared);
+  // No drain: B starts before the last rider completes.
+  SimSeconds last_rider = std::max(shared[3].completion, shared[4].completion);
+  EXPECT_LT(shared[2].start, last_rider);
+  EXPECT_LT(shared[1].start, shared[2].completion);
 }
 
 TEST(SchedulerElevatorTest, SweepOrdersDispatchBySlotAndAgingPromotesTheOldest) {
