@@ -3,18 +3,17 @@
 /// \file pipeline.h
 /// The chunked-transfer pipeline engine shared by every join executor.
 ///
-/// TaskGraph (task_graph.h) schedules a *static* DAG whose durations are
-/// known up front. Device operations in tertio are state-dependent — a tape
-/// read's cost depends on where the head stopped, a disk write's on the
-/// extent layout — so executors cannot declare durations ahead of time.
-/// Pipeline generalizes TaskGraph's list scheduling to that case: stages are
-/// dispatched eagerly, in insertion order (matching the FIFO device-queue
-/// semantics of Resource exactly as TaskGraph::Run does), and each stage's
-/// operation computes its own occupancy interval by charging the device
-/// model when dispatched. A stage's ready time is the latest finish of its
-/// dependencies — the scheduler derives the overlap structure of the
-/// paper's concurrent methods from declared dependencies instead of each
-/// executor hand-threading `max()` arithmetic over raw SimSeconds.
+/// Device operations in tertio are state-dependent — a tape read's cost
+/// depends on where the head stopped, a disk write's on the extent layout —
+/// so executors cannot declare durations ahead of time as a static DAG.
+/// Pipeline list-schedules stages instead: they are dispatched eagerly, in
+/// insertion order (matching the FIFO device-queue semantics of Resource),
+/// and each stage's operation computes its own occupancy interval by
+/// charging the device model when dispatched. A stage's ready time is the
+/// latest finish of its dependencies — the scheduler derives the overlap
+/// structure of the paper's concurrent methods from declared dependencies
+/// instead of each executor hand-threading `max()` arithmetic over raw
+/// SimSeconds.
 ///
 /// On top of the stage primitive, Transfer() expresses the paper's central
 /// I/O idiom — "stream N blocks from device A to device B through a double
