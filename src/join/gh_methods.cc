@@ -100,16 +100,12 @@ Result<sim::StageId> PartitionRToDisk(const JoinContext& ctx, const JoinSpec& sp
       r.blocks > 0 ? (r.tuple_count + r.blocks - 1) / r.blocks : 0;
   tape::TapeReadSource source(ctx.drive_r, r.start_block);
   hash::PartitionerSink sink(partitioner, tuples_per_block, r.tuple_count);
-  sim::Pipeline::TransferPlan plan;
+  sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
   plan.read_phase = "r-hash-read";
   plan.write_phase = "r-hash-write";
   plan.total = r.blocks;
   plan.chunk = DefaultTapeChunk(r);
   plan.streaming = concurrent;
-  plan.move_payloads = !phantom;
-  plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, {}));
   return sink.IssueFlush(pipe, "r-hash-flush",
@@ -204,16 +200,12 @@ Result<JoinStats> ExecuteGh(GhMode mode, JoinMethodId id, const JoinSpec& spec,
     // Hash process: stream this slab from tape S into disk buckets.
     tape::TapeReadSource s_source(ctx.drive_s, s.start_block + off);
     hash::PartitionerSink s_sink(&s_partitioner, s_tuples_per_block);
-    sim::Pipeline::TransferPlan plan;
+    sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
     plan.read_phase = "s-hash-read";
     plan.write_phase = "s-hash-write";
     plan.total = take_slab;
     plan.chunk = s_chunk;
     plan.streaming = concurrent;
-    plan.move_payloads = !phantom;
-    plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult slab_result,
                             pipe.Transfer(plan, s_source, s_sink, {tape_chain}));
     tape_chain = concurrent ? slab_result.last_read : slab_result.last_write;

@@ -61,6 +61,15 @@ sim::FaultStats ContextFaultStats(const JoinContext& ctx) {
   return total;
 }
 
+sim::Pipeline::TransferPlan TransferPlanFor(const JoinContext& ctx, bool phantom) {
+  sim::Pipeline::TransferPlan plan;
+  plan.move_payloads = !phantom;
+  plan.chunk_retry_limit = ctx.chunk_retry_limit;
+  plan.allow_coalescing = ctx.coalesce_transfers;
+  plan.closed_form_commit = ctx.closed_form_commit;
+  return plan;
+}
+
 StatsScope::StatsScope(const JoinContext& ctx)
     : ctx_(ctx),
       start_(ctx.exact_anchor ? ctx.not_before
@@ -141,16 +150,12 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
 
   tape::TapeReadSource source(drive, relation.start_block);
   disk::ExtentWriteSink sink(ctx.disks, &staged.extents);
-  sim::Pipeline::TransferPlan plan;
+  sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, relation.phantom);
   plan.read_phase = "stage:tape-read";
   plan.write_phase = "stage:disk-write";
   plan.total = relation.blocks;
   plan.chunk = chunk_blocks;
   plan.streaming = concurrent;
-  plan.move_payloads = !relation.phantom;
-  plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   staged.done_stage = pipe.Event("stage:done", result.done);
@@ -167,16 +172,12 @@ Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pip
   if (chunk_blocks == 0) chunk_blocks = 1;
   disk::ExtentReadSource source(ctx.disks, &extents);
   ProbeSink sink(table, probe_schema, probe_key, out);
-  sim::Pipeline::TransferPlan plan;
+  sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
   plan.read_phase = phase;
   plan.write_phase = "probe";
   plan.total = disk::TotalBlocks(extents);
   plan.chunk = chunk_blocks;
   plan.streaming = true;  // reads chain read-to-read; probing is free
-  plan.move_payloads = !phantom;
-  plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   if (result.last_read == sim::kNoStage) return pipe.Barrier(phase, deps);

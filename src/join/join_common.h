@@ -96,6 +96,11 @@ class StatsScope {
 /// zero when no device carries an injector.
 sim::FaultStats ContextFaultStats(const JoinContext& ctx);
 
+/// A Transfer plan carrying `ctx`'s execution knobs: payloads move unless
+/// `phantom`, and chunk retries, coalescing and closed-form commit follow
+/// the context. Callers fill in the phases, sizes and streaming mode.
+sim::Pipeline::TransferPlan TransferPlanFor(const JoinContext& ctx, bool phantom);
+
 /// Result of staging (copying) a relation from tape to disk.
 struct StagedRelation {
   disk::ExtentList extents;  // in tape order

@@ -106,16 +106,12 @@ Result<sim::StageId> HashRelationToTape(const JoinContext& ctx, sim::Pipeline& p
     // hashing to disk streams behind the tape.
     tape::TapeReadSource scan_source(source, relation.start_block);
     hash::PartitionerSink scan_sink(&partitioner, tuples_per_block);
-    sim::Pipeline::TransferPlan plan;
+    sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
     plan.read_phase = "assemble-read";
     plan.write_phase = "assemble-write";
     plan.total = relation.blocks;
     plan.chunk = chunk;
     plan.streaming = true;
-    plan.move_payloads = !phantom;
-    plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                             pipe.Transfer(plan, scan_source, scan_sink, {cursor}));
     TERTIO_ASSIGN_OR_RETURN(sim::StageId flush,
@@ -225,16 +221,12 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
     // Hash process: stream this slab from tape S into disk buckets.
     tape::TapeReadSource s_source(ctx.drive_s, s.start_block + off);
     hash::PartitionerSink s_sink(&s_partitioner, s_tuples_per_block);
-    sim::Pipeline::TransferPlan plan;
+    sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
     plan.read_phase = "s-hash-read";
     plan.write_phase = "s-hash-write";
     plan.total = take_slab;
     plan.chunk = s_chunk;
     plan.streaming = true;  // the hash process trails the tape
-    plan.move_payloads = !phantom;
-    plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult slab_result,
                             pipe.Transfer(plan, s_source, s_sink, {tape_s_chain}));
     tape_s_chain = slab_result.last_read;
@@ -427,16 +419,12 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
       tape::TapeReadSource sb_source(ctx.drive_r, sb.start);
       ProbeSink sink(phantom || rb.blocks == 0 ? nullptr : &table, &s.schema,
                      spec.s_key_column, &output);
-      sim::Pipeline::TransferPlan plan;
+      sim::Pipeline::TransferPlan plan = TransferPlanFor(ctx, phantom);
       plan.read_phase = "s-bucket-read";
       plan.write_phase = "probe";
       plan.total = sb.blocks;
       plan.chunk = probe_chunk;
       plan.streaming = true;
-      plan.move_payloads = !phantom;
-      plan.chunk_retry_limit = ctx.chunk_retry_limit;
-      plan.allow_coalescing = ctx.coalesce_transfers;
-      plan.closed_form_commit = ctx.closed_form_commit;
       TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                               pipe.Transfer(plan, sb_source, sink, {t}));
       drive_r_chain = result.last_read == sim::kNoStage ? t : result.last_read;
