@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <optional>
@@ -23,7 +24,6 @@
 #include "hash/hasher.h"
 #include "join/flat_table.h"
 #include "join/join_output.h"
-#include "join/legacy_table.h"
 #include "join/simd.h"
 #include "relation/block.h"
 #include "relation/generator.h"
@@ -33,6 +33,7 @@
 #include "sim/simulation.h"
 #include "tape/tape_drive.h"
 #include "tape/tape_volume.h"
+#include "tests/legacy_table.h"
 
 namespace tertio {
 namespace {
@@ -401,29 +402,15 @@ void BM_SyntheticGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticGeneration)->Unit(benchmark::kMillisecond);
 
-// ---- Pipeline transfer: coalesced vs per-chunk -----------------------------
+// ---- Pipeline transfer -----------------------------------------------------
 
 /// Blocks per chunk of the transfer benches (device requests per chunk).
 constexpr BlockCount kTransferChunk = 8;
 
-struct TransferTiming {
-  double wall_seconds = 0.0;   ///< host wall-clock of the Transfer call
-  SimSeconds done = 0.0;       ///< simulated completion (must match both modes)
-  std::uint64_t ops = 0;       ///< device ops accounted (must match both modes)
-};
-
-/// The three commit paths of the coalesced fast path, slowest to fastest.
-/// All three produce bit-identical simulated outcomes; only the host time
-/// to reach them differs.
-enum class CommitMode {
-  kPerChunk,    ///< coalescing off: every chunk walks the scheduling path
-  kReplay,      ///< coalesced, but the window commits via O(chunks) replay
-  kClosedForm,  ///< coalesced with the O(1) closed-form commit (the default)
-};
-
 /// Simulates one fault-free phantom tape->memory transfer of `chunks` chunks
-/// and times the Transfer call itself (setup excluded).
-TransferTiming TimedTransfer(std::uint64_t chunks, CommitMode mode) {
+/// and returns the host wall-clock seconds of the Transfer call itself (setup
+/// excluded).
+double TimedTransferSeconds(std::uint64_t chunks) {
   sim::Simulation sim;
   tape::TapeVolume volume("t", kBlock);
   TERTIO_CHECK(volume.AppendPhantom(chunks * kTransferChunk, 0.25).ok(), "append failed");
@@ -437,35 +424,30 @@ TransferTiming TimedTransfer(std::uint64_t chunks, CommitMode mode) {
   plan.write_phase = "bench:write";
   plan.total = chunks * kTransferChunk;
   plan.chunk = kTransferChunk;
-  plan.allow_coalescing = mode != CommitMode::kPerChunk;
-  plan.closed_form_commit = mode == CommitMode::kClosedForm;
-  TransferTiming timing;
   auto start = std::chrono::steady_clock::now();
   auto result = pipe.Transfer(plan, source, sink);
-  timing.wall_seconds =
+  const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   TERTIO_CHECK(result.ok(), "transfer failed");
-  timing.done = result->done;
-  timing.ops = drive.resource()->stats().op_count;
-  return timing;
+  benchmark::DoNotOptimize(result->done);
+  return seconds;
 }
 
 void BM_PipelineTransfer(benchmark::State& state) {
   const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
-  const CommitMode mode = static_cast<CommitMode>(state.range(1));
   for (auto _ : state) {
-    TransferTiming timing = TimedTransfer(chunks, mode);
     // Count only the Transfer call: setup (volume append, drive load) is
     // excluded without PauseTiming's per-iteration overhead.
-    state.SetIterationTime(timing.wall_seconds);
-    benchmark::DoNotOptimize(timing.done);
+    state.SetIterationTime(TimedTransferSeconds(chunks));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(chunks));
 }
 BENCHMARK(BM_PipelineTransfer)
-    ->ArgsProduct({{1 << 10, 1 << 12, 1 << 14}, {0, 1, 2}})
-    ->ArgNames({"chunks", "mode"})
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->ArgName("chunks")
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -541,42 +523,17 @@ int main(int argc, char** argv) {
     recorder.RecordMetric(key + "_speedup", speedup);
   }
 
-  // Headline transfer comparison at the 10^6-chunk point: one fault-free
-  // phantom transfer through each commit path (best of 3). All three paths
-  // reach the bit-identical simulated outcome; only the host time differs —
-  // per-chunk is O(chunks) scheduling, replay is O(chunks) arithmetic over
-  // the realized stage durations, closed-form is O(1) per window.
-  constexpr std::uint64_t kChunks = 1000000;
-  tertio::TransferTiming closed{}, replay{}, per_chunk{};
-  closed.wall_seconds = std::numeric_limits<double>::infinity();
-  replay.wall_seconds = std::numeric_limits<double>::infinity();
-  per_chunk.wall_seconds = std::numeric_limits<double>::infinity();
+  // Host cost of the per-chunk Transfer loop, which every simulated join's
+  // transfers run, at 10^5 chunks (best of 3).
+  constexpr std::uint64_t kChunks = 100000;
+  double transfer = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
-    tertio::TransferTiming cf = tertio::TimedTransfer(kChunks, tertio::CommitMode::kClosedForm);
-    tertio::TransferTiming rp = tertio::TimedTransfer(kChunks, tertio::CommitMode::kReplay);
-    tertio::TransferTiming pc = tertio::TimedTransfer(kChunks, tertio::CommitMode::kPerChunk);
-    TERTIO_CHECK(cf.done == rp.done && rp.done == pc.done,
-                 "commit paths diverged in simulated time");
-    TERTIO_CHECK(cf.ops == rp.ops && rp.ops == pc.ops,
-                 "commit paths diverged in op count");
-    if (cf.wall_seconds < closed.wall_seconds) closed = cf;
-    if (rp.wall_seconds < replay.wall_seconds) replay = rp;
-    if (pc.wall_seconds < per_chunk.wall_seconds) per_chunk = pc;
+    transfer = std::min(transfer, tertio::TimedTransferSeconds(kChunks));
   }
-  std::printf("\nPipeline transfer commit (%llu chunks, fault-free phantom, best of 3):\n",
-              (unsigned long long)kChunks);
-  std::printf("  closed-form: %.2f ms   replay: %.2f ms   per-chunk: %.2f ms\n",
-              1e3 * closed.wall_seconds, 1e3 * replay.wall_seconds,
-              1e3 * per_chunk.wall_seconds);
-  std::printf("  closed-form vs replay: %.1fx   vs per-chunk: %.1fx\n",
-              replay.wall_seconds / closed.wall_seconds,
-              per_chunk.wall_seconds / closed.wall_seconds);
-  recorder.RecordMetric("commit_closed_form_seconds", closed.wall_seconds);
-  recorder.RecordMetric("commit_replay_seconds", replay.wall_seconds);
-  recorder.RecordMetric("commit_per_chunk_seconds", per_chunk.wall_seconds);
-  recorder.RecordMetric("commit_closed_form_vs_replay_speedup",
-                        replay.wall_seconds / closed.wall_seconds);
-  recorder.RecordMetric("commit_closed_form_vs_per_chunk_speedup",
-                        per_chunk.wall_seconds / closed.wall_seconds);
+  std::printf("\nPipeline transfer (%llu chunks, fault-free phantom, best of 3): %.2f ms"
+              "  (%.0f ns/chunk)\n",
+              (unsigned long long)kChunks, 1e3 * transfer,
+              1e9 * transfer / static_cast<double>(kChunks));
+  recorder.RecordMetric("transfer_ns_per_chunk", 1e9 * transfer / static_cast<double>(kChunks));
   return recorder.Finish();
 }

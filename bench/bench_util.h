@@ -125,15 +125,13 @@ inline void Banner(const char* experiment, const char* paper_ref, const char* ex
 inline Result<join::JoinStats> RunPaperJoin(ByteCount s_bytes, ByteCount r_bytes,
                                             ByteCount disk_bytes, ByteCount memory_bytes,
                                             JoinMethodId method,
-                                            double compressibility = kBaseCompressibility,
-                                            bool closed_form_commit = true) {
+                                            double compressibility = kBaseCompressibility) {
   exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(disk_bytes, memory_bytes);
   exec::WorkloadConfig workload;
   workload.r_bytes = r_bytes;
   workload.s_bytes = s_bytes;
   workload.compressibility = compressibility;
   workload.phantom = true;
-  workload.closed_form_commit = closed_form_commit;
   return exec::RunJoinExperiment(machine, workload, method);
 }
 

@@ -56,8 +56,8 @@ struct Exp3Sweep {
 /// hardware threads, 1 = the seed's serial path). Every point builds a
 /// fresh Machine, so simulated times are independent of the thread count.
 /// `scale` multiplies |R|, |S|, D and memory uniformly — scale 100 is the
-/// TB-class timing-only sweep (100 GB S), feasible in host seconds only
-/// because the coalesced closed-form commit makes chunk count nearly free.
+/// TB-class timing-only sweep (100 GB S). Host time grows with the chunk
+/// count, since every transfer commits chunk by chunk.
 inline Exp3Sweep RunExp3Sweep(double compressibility, int threads = 1,
                               std::uint64_t scale = 1) {
   Exp3Sweep sweep;

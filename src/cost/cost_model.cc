@@ -63,7 +63,7 @@ Status ValidateCommon(const CostParams& p) {
 
 /// NB-method buffer split: Mr blocks for scanning R, the rest for S.
 Status NbSplit(const CostParams& p, BlockCount* mr, BlockCount* ms_space) {
-  BlockCount mr_val = static_cast<BlockCount>(p.nb_r_fraction * static_cast<double>(p.memory_blocks.value()));
+  BlockCount mr_val = static_cast<BlockCount>(kNbRFraction * static_cast<double>(p.memory_blocks.value()));
   if (mr_val == 0) mr_val = 1;
   if (mr_val + 1 > p.memory_blocks) {
     return Status::ResourceExhausted("memory too small for a nested-block join (need >= 2 blocks)");

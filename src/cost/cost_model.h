@@ -26,6 +26,11 @@
 
 namespace tertio::cost {
 
+/// Fraction of M the NB methods reserve for scanning R (paper: 10%). The NB
+/// executors (join/nb_methods.cc) split memory with the same constant, so
+/// the model cannot drift from them.
+inline constexpr double kNbRFraction = 0.1;
+
 /// Inputs of one estimate (all sizes in blocks, rates in bytes/second).
 struct CostParams {
   BlockCount r_blocks = 0;       // |R| (smaller relation)
@@ -39,8 +44,6 @@ struct CostParams {
   SimSeconds disk_positioning_seconds = 0.0;
   /// Preferred hash write-buffer size w (blocks per bucket flush).
   BlockCount write_buffer_blocks = 8;
-  /// Fraction of M the NB methods reserve for scanning R (paper: 10%).
-  double nb_r_fraction = 0.1;
   /// Blocks of S resident in the cross-query extent cache
   /// (disk/extent_cache.h). That fraction of every pass over the original S
   /// is served at the disk rate instead of the tape rate, so the estimates

@@ -61,20 +61,6 @@ Result<sim::Interval> DiskVolume::Read(BlockIndex start, BlockCount count, SimSe
   return resource_->Schedule(ready, duration, count * block_bytes_, "disk.read");
 }
 
-void DiskVolume::CommitCoalesced(bool write, BlockIndex start, BlockCount count,
-                                 std::uint64_t requests) {
-  TERTIO_CHECK(start + count <= store_.size(), "coalesced disk commit exceeds capacity");
-  stats_.requests += requests;
-  any_request_ = true;
-  next_sequential_ = start + count;
-  if (write) {
-    for (BlockCount i = 0; i < count; ++i) store_[(start + i).value()] = nullptr;
-    stats_.blocks_written += count;
-  } else {
-    stats_.blocks_read += count;
-  }
-}
-
 Result<sim::Interval> DiskVolume::Write(BlockIndex start, BlockCount count, SimSeconds ready,
                                         const BlockPayload* payloads) {
   TERTIO_RETURN_IF_ERROR(CheckRange(start, count));

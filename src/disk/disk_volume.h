@@ -64,21 +64,6 @@ class DiskVolume {
   Result<sim::Interval> Write(BlockIndex start, BlockCount count, SimSeconds ready,
                               const BlockPayload* payloads = nullptr);
 
-  /// True when a request starting at `start` would continue the previous one
-  /// sequentially and therefore pay no positioning time. Used by coalesced
-  /// transfers (sim/pipeline.h) to verify the replayed steady state.
-  bool IsSequential(BlockIndex start) const {
-    return any_request_ && start == next_sequential_;
-  }
-
-  /// Applies the state a coalesced batch of sequential requests would have
-  /// left behind: `requests` request-count bumps, blocks read or phantom-
-  /// written over [start, start+count), and the sequential cursor advanced to
-  /// start+count. The caller (StripedDiskGroup) has already charged the
-  /// device time through Resource::ScheduleBatch and verified every request
-  /// continues the previous one, so no positioning is recorded.
-  void CommitCoalesced(bool write, BlockIndex start, BlockCount count, std::uint64_t requests);
-
  private:
   Status CheckRange(BlockIndex start, BlockCount count) const;
   SimSeconds RequestCost(BlockIndex start, BlockCount count);

@@ -141,132 +141,6 @@ Result<sim::Interval> ExtentWriteSink::Write(BlockCount offset, BlockCount count
   return group_->WriteExtents(slice, ready, payloads);
 }
 
-sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(const ExtentList& extents,
-                                                           BlockCount offset, BlockCount chunk,
-                                                           std::uint64_t max_chunks, bool write) {
-  if (chunk == 0 || max_chunks == 0) return {};
-  // Any active fault plan must flow through the per-chunk path: it draws
-  // from a seeded RNG stream whose consumption order is part of the
-  // simulation's reproducibility contract.
-  for (const auto& d : disks_) {
-    if (d->fault_injector() != nullptr && d->fault_injector()->enabled()) return {};
-  }
-  BlockCount total = TotalBlocks(extents);
-  if (offset >= total) return {};
-  std::uint64_t n_max = (total - offset) / chunk;
-  if (max_chunks < n_max) n_max = max_chunks;
-  if (n_max < 2) return {};
-
-  // A chunk dissolves into a sequence of per-disk pieces; the (disk, count)
-  // sequence — the chunk's *pattern* — rotates across chunks with a period
-  // of lcm(chunk, stripe ring) / chunk. Walk chunks verifying (a) every
-  // piece sequentially continues its disk (the no-positioning steady state
-  // the profile replays, anchored at the disks' live cursors) and (b) the
-  // patterns are periodic, so one period's operations describe them all.
-  using Pattern = std::vector<std::pair<int, BlockCount>>;
-  // With 2 disks and a 32-block stripe unit the period is 64 / gcd(chunk, 64)
-  // chunks at worst; accept up to that rather than guess beyond it.
-  constexpr std::uint64_t kMaxCycle = 64;
-  std::vector<Pattern> lead;
-  std::vector<ExtentList> lead_slices;
-  std::vector<BlockIndex> next(disks_.size(), 0);
-  std::vector<bool> touched(disks_.size(), false);
-  std::uint64_t cycle = 0;
-  std::uint64_t verified = 0;
-  for (std::uint64_t c = 0; c < n_max; ++c) {
-    Result<ExtentList> slice = SliceExtents(extents, offset + c * chunk, chunk);
-    if (!slice.ok()) break;
-    bool ok = true;
-    Pattern pattern;
-    pattern.reserve(slice->size());
-    for (const Extent& piece : *slice) {
-      if (piece.disk < 0 || piece.disk >= disk_count()) {
-        ok = false;
-        break;
-      }
-      auto d = static_cast<size_t>(piece.disk);
-      if (!touched[d]) {
-        if (!disks_[d]->IsSequential(piece.start)) {
-          ok = false;
-          break;
-        }
-        touched[d] = true;
-      } else if (piece.start != next[d]) {
-        ok = false;
-        break;
-      }
-      next[d] = piece.start + piece.count;
-      pattern.emplace_back(piece.disk, piece.count);
-    }
-    if (!ok) break;
-    if (cycle == 0) {
-      if (c > 0 && pattern == lead[0]) {
-        cycle = c;
-      } else if (c >= kMaxCycle) {
-        break;
-      } else {
-        lead.push_back(std::move(pattern));
-        lead_slices.push_back(std::move(*slice));
-        verified = c + 1;
-        continue;
-      }
-    }
-    if (pattern != lead[c % cycle]) break;
-    verified = c + 1;
-  }
-  // A prefix that never repeated is itself the cycle (it was verified whole).
-  if (cycle == 0) cycle = verified;
-  if (cycle == 0) return {};
-  std::uint64_t chunks = (verified / cycle) * cycle;
-  if (chunks < 2) return {};
-
-  sim::ChunkCostProfile profile;
-  profile.chunks = chunks;
-  profile.cycle = cycle;
-  profile.ops_per_chunk.reserve(cycle);
-  const char* tag = write ? "disk.write" : "disk.read";
-  for (std::uint64_t c = 0; c < cycle; ++c) {
-    const ExtentList& slice = lead_slices[c];
-    profile.ops_per_chunk.push_back(static_cast<std::uint32_t>(slice.size()));
-    for (const Extent& piece : slice) {
-      auto d = static_cast<size_t>(piece.disk);
-      ByteCount bytes = piece.count * block_bytes_;
-      profile.ops.push_back({disks_[d]->resource(),
-                             disks_[d]->model().TransferSeconds(bytes), bytes, tag});
-    }
-  }
-
-  // Per-disk share of one cycle. Continuity makes each disk's pieces one
-  // contiguous run, so a committed batch advances its cursor linearly.
-  struct Share {
-    int disk;
-    BlockIndex first;
-    BlockCount blocks;
-    std::uint64_t requests;
-  };
-  std::vector<Share> shares;
-  for (std::uint64_t c = 0; c < cycle; ++c) {
-    for (const Extent& piece : lead_slices[c]) {
-      auto it = std::find_if(shares.begin(), shares.end(),
-                             [&](const Share& s) { return s.disk == piece.disk; });
-      if (it == shares.end()) {
-        shares.push_back(Share{piece.disk, piece.start, piece.count, 1});
-      } else {
-        it->blocks += piece.count;
-        it->requests += 1;
-      }
-    }
-  }
-  profile.commit = [this, shares = std::move(shares), cycle, write](std::uint64_t committed) {
-    std::uint64_t periods = committed / cycle;
-    for (const Share& share : shares) {
-      disks_[static_cast<size_t>(share.disk)]->CommitCoalesced(
-          write, share.first, periods * share.blocks, periods * share.requests);
-    }
-  };
-  return profile;
-}
-
 DiskStats StripedDiskGroup::TotalStats() const {
   DiskStats total;
   for (const auto& d : disks_) {

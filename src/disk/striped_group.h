@@ -73,17 +73,6 @@ class StripedDiskGroup {
   Result<sim::Interval> WriteExtents(const ExtentList& extents, SimSeconds ready,
                                      const std::vector<BlockPayload>* payloads = nullptr);
 
-  /// Steady-state cost profile for up to `max_chunks` chunked requests over
-  /// `extents` starting at logical block `offset` (sim/pipeline.h
-  /// coalescing). The striping pattern a chunk dissolves into rotates across
-  /// disks with a period set by the chunk size and the stripe unit, so the
-  /// profile carries one period's operations and a cycle length. Empty —
-  /// per-chunk fallback — unless every disk request in the verified prefix
-  /// sequentially continues that disk's previous one (no positioning time)
-  /// and no disk carries an active fault plan.
-  sim::ChunkCostProfile ExtentChunkProfile(const ExtentList& extents, BlockCount offset,
-                                           BlockCount chunk, std::uint64_t max_chunks, bool write);
-
   /// Aggregated statistics across all disks.
   DiskStats TotalStats() const;
 
@@ -139,10 +128,6 @@ class ExtentReadSource final : public sim::BlockSource {
 
   Result<sim::Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out) override;
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    return group_->ExtentChunkProfile(*extents_, offset, chunk, max_chunks, /*write=*/false);
-  }
   std::string_view device() const override { return "disks"; }
 
  private:
@@ -159,10 +144,6 @@ class ExtentWriteSink final : public sim::BlockSink {
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    return group_->ExtentChunkProfile(*extents_, offset, chunk, max_chunks, /*write=*/true);
-  }
   std::string_view device() const override { return "disks"; }
 
  private:

@@ -43,10 +43,7 @@ Result<join::JoinStats> RunJoinExperiment(const MachineConfig& machine_config,
   spec.s = &prepared.s;
   std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(method);
   TERTIO_CHECK(executor != nullptr, "unknown join method");
-  join::JoinContext ctx = machine.context();
-  ctx.coalesce_transfers = workload.coalesce_transfers;
-  ctx.closed_form_commit = workload.closed_form_commit;
-  return executor->Execute(spec, ctx);
+  return executor->Execute(spec, machine.context());
 }
 
 cost::CostParams CostParamsFor(const Machine& machine, const WorkloadConfig& workload) {

@@ -25,11 +25,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 42;
   /// Timing-only (paper-scale) vs full-data (verifiable) runs.
   bool phantom = true;
-  /// Commit-path selectors forwarded to JoinContext (join/join_spec.h) —
-  /// all three combinations are bit-identical in simulated outcome; the
-  /// non-default settings are the references in equivalence spot-checks.
-  bool coalesce_transfers = true;
-  bool closed_form_commit = true;
 };
 
 /// The generated relations plus the machine they live on.

@@ -65,8 +65,6 @@ sim::Pipeline::TransferPlan TransferPlanFor(const JoinContext& ctx, bool phantom
   sim::Pipeline::TransferPlan plan;
   plan.move_payloads = !phantom;
   plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
   return plan;
 }
 

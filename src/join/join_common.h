@@ -24,8 +24,7 @@ namespace tertio::join {
 using disk::SliceExtents;
 
 /// The build/probe table of every executor: the flat open-addressed table
-/// (flat_table.h). The name survives from the seed's multimap implementation
-/// (now tests-only, legacy_table.h).
+/// (flat_table.h).
 using HashJoinTable = FlatJoinTable;
 
 /// Pipeline sink probing a Transfer's chunks through a hash table — the
@@ -40,13 +39,6 @@ class ProbeSink final : public sim::BlockSink {
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
-  /// Probing is free in the system model, so phantom chunks coalesce freely.
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    (void)offset;
-    (void)chunk;
-    return sim::ChunkCostProfile::Free(max_chunks);
-  }
   std::string_view device() const override { return "mem"; }
 
  private:
@@ -97,8 +89,8 @@ class StatsScope {
 sim::FaultStats ContextFaultStats(const JoinContext& ctx);
 
 /// A Transfer plan carrying `ctx`'s execution knobs: payloads move unless
-/// `phantom`, and chunk retries, coalescing and closed-form commit follow
-/// the context. Callers fill in the phases, sizes and streaming mode.
+/// `phantom`, and chunk retries follow the context. Callers fill in the
+/// phases, sizes and streaming mode.
 sim::Pipeline::TransferPlan TransferPlanFor(const JoinContext& ctx, bool phantom);
 
 /// Result of staging (copying) a relation from tape to disk.

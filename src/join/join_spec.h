@@ -24,14 +24,6 @@ struct ExecutionOptions {
   /// Preferred hash write-buffer size w (blocks per bucket flush; the
   /// planner shrinks it under memory pressure).
   BlockCount preferred_write_buffer = 8;
-  /// Fraction of M the NB methods reserve for scanning R (paper: 10%).
-  double nb_r_fraction = 0.1;
-  /// Sub-chunks per buffer for interleaved double-buffering granularity.
-  int interleave_slices = 8;
-  /// On drives implementing SCSI READ REVERSE, let CTT-GH alternate scan
-  /// direction over the hashed R run (the paper's footnote 2: bi-directional
-  /// drives make repositioning between iterations unnecessary).
-  bool use_read_reverse = true;
 };
 
 /// The join to compute: R |><| S on an equality key.
@@ -78,17 +70,6 @@ struct JoinContext {
   /// retries). Every method inherits this recovery through
   /// StageRelationToDisk / ScanDiskAndProbe.
   int chunk_retry_limit = 3;
-  /// Let eligible phantom transfers collapse their steady-state chunk
-  /// recurrence into batched device commits (sim/pipeline.h). Bit-identical
-  /// in simulated time and all aggregates; off forces the per-chunk path
-  /// (the equivalence tests' reference).
-  bool coalesce_transfers = true;
-  /// Let coalesced windows commit their steady state in closed form (O(1)
-  /// jumps over the chunk recurrence instead of an O(chunks) scalar replay;
-  /// sim/pipeline.h). Bit-identical either way; off forces the full replay
-  /// (the middle rung of the per-chunk / replay / closed-form equivalence
-  /// ladder). Ignored when coalesce_transfers is off.
-  bool closed_form_commit = true;
 };
 
 /// Everything a run reports. Timing is virtual; tuple counts are exact in

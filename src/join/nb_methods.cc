@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "mem/double_buffer.h"
@@ -30,6 +31,9 @@ namespace tertio::join {
 namespace {
 
 enum class NbMode { kSequential, kMemoryBuffered, kDiskBuffered };
+
+/// Sub-chunks per S-ring buffer in CDT-NB/DB's interleaved double buffering.
+constexpr int kInterleaveSlices = 8;
 
 /// Geometry shared by the NB methods: Mr blocks for scanning R, Ms per
 /// S chunk.
@@ -42,7 +46,7 @@ struct NbGeometry {
 
 Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& ctx) {
   BlockCount m = ctx.memory->total_blocks();
-  auto mr = static_cast<BlockCount>(spec.options.nb_r_fraction * static_cast<double>(m.value()));
+  auto mr = static_cast<BlockCount>(cost::kNbRFraction * static_cast<double>(m.value()));
   if (mr == 0) mr = 1;
   if (m <= mr) {
     return Status::ResourceExhausted("memory too small for a nested-block join");
@@ -157,7 +161,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
     stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
     mem::InterleavedBuffer ring(g.ms);
     BlockCount sub = std::max<BlockCount>(
-        1, g.ms / static_cast<BlockCount>(std::max(1, spec.options.interleave_slices)));
+        1, g.ms / static_cast<BlockCount>(kInterleaveSlices));
 
     struct Piece {
       BlockCount ring_off = 0;

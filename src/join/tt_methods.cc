@@ -239,8 +239,8 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
     // READ REVERSE (the paper's footnote 2, after Knuth), odd iterations
     // walk the bucket run backwards so no locate back to the run's start is
     // ever needed; otherwise every iteration seeks back and reads forward.
-    const bool reverse_pass = ctx.drive_r->model().supports_read_reverse &&
-                              spec.options.use_read_reverse && stats.iterations % 2 == 1;
+    const bool reverse_pass =
+        ctx.drive_r->model().supports_read_reverse && stats.iterations % 2 == 1;
     for (std::uint32_t bi = 0; bi < layout.bucket_count; ++bi) {
       std::uint32_t b = reverse_pass ? layout.bucket_count - 1 - bi : bi;
       const hash::TapeBucketRegion& region = run.regions[b];

@@ -113,39 +113,6 @@ void Auditor::OnSchedule(std::string_view resource, SimSeconds ready, Interval i
   Remember(state, interval);
 }
 
-void Auditor::OnScheduleBatch(std::string_view resource, Interval hull, std::uint64_t op_count,
-                              ByteCount bytes) {
-  (void)bytes;
-  ResourceState& state = StateFor(resource);
-  checks_ += 3;
-  if (hull.end < hull.start) {
-    Report(AuditKind::kTimeRegression, resource,
-           StrFormat("coalesced batch of %llu operations %s ends before it starts",
-                     static_cast<unsigned long long>(op_count),
-                     FormatInterval(hull).c_str()),
-           Snapshot(state, hull));
-  }
-  if (op_count == 0) {
-    Report(AuditKind::kAccounting, resource, "coalesced batch committed zero operations",
-           Snapshot(state, hull));
-  }
-  // Interval exclusivity with multiplicity: the batch occupies the device
-  // back-to-back from its first start, so the whole hull must sit after the
-  // previously committed operation; later operations are checked against
-  // the hull's end.
-  if (state.any && hull.start < state.last.end) {
-    Report(AuditKind::kIntervalOverlap, resource,
-           StrFormat("coalesced batch %s (%llu operations) overlaps the previous operation %s",
-                     FormatInterval(hull).c_str(),
-                     static_cast<unsigned long long>(op_count),
-                     FormatInterval(state.last).c_str()),
-           Snapshot(state, hull));
-  }
-  state.any = true;
-  state.last = hull;
-  Remember(state, hull);
-}
-
 void Auditor::OnResourceReset(std::string_view resource) {
   auto it = resources_.find(resource);
   if (it != resources_.end()) it->second = ResourceState{};
@@ -178,39 +145,6 @@ void Auditor::OnStage(std::string_view phase, std::string_view device,
            "phase label is not in sim/span_registry.h (typo'd labels silently fork report "
            "rows; register it or fix the call site)",
            {interval});
-  }
-}
-
-void Auditor::OnStageBatch(std::string_view phase, std::string_view device,
-                           SimSeconds pipeline_start, SimSeconds ready, Interval hull,
-                           std::uint64_t stages) {
-  checks_ += 4;
-  if (hull.end < hull.start) {
-    Report(AuditKind::kTimeRegression, phase,
-           StrFormat("coalesced stage batch %s (%llu stages) on '%.*s' ends before it starts",
-                     FormatInterval(hull).c_str(), static_cast<unsigned long long>(stages),
-                     static_cast<int>(device.size()), device.data()),
-           {hull});
-  }
-  if (hull.start < ready) {
-    Report(AuditKind::kCausality, phase,
-           StrFormat("coalesced stage batch began at %.9f before its dependencies finished "
-                     "at %.9f",
-                     hull.start.value(), ready.value()),
-           {Interval::At(ready), hull});
-  }
-  if (hull.start < pipeline_start) {
-    Report(AuditKind::kCausality, phase,
-           StrFormat("coalesced stage batch began at %.9f before the pipeline's virtual "
-                     "origin %.9f",
-                     hull.start.value(), pipeline_start.value()),
-           {Interval::At(pipeline_start), hull});
-  }
-  if (!IsRegisteredSpan(phase)) {
-    Report(AuditKind::kUnregisteredSpan, phase,
-           "phase label is not in sim/span_registry.h (typo'd labels silently fork report "
-           "rows; register it or fix the call site)",
-           {hull});
   }
 }
 

@@ -97,25 +97,12 @@ class Auditor {
   void OnSchedule(std::string_view resource, SimSeconds ready, Interval interval,
                   ByteCount bytes);
 
-  /// A Resource committed a coalesced batch of `op_count` back-to-back
-  /// operations occupying `hull` (first operation's start to last
-  /// operation's end). Exclusivity is audited at batch granularity: the hull
-  /// may not overlap the previously committed operation, and subsequent
-  /// operations are checked against the hull's end.
-  void OnScheduleBatch(std::string_view resource, Interval hull, std::uint64_t op_count,
-                       ByteCount bytes);
-
   /// A Resource was individually reset: its timeline restarts at zero.
   void OnResourceReset(std::string_view resource);
 
   /// A Pipeline committed a stage under `phase` on `device`.
   void OnStage(std::string_view phase, std::string_view device, SimSeconds pipeline_start,
                SimSeconds ready, Interval interval);
-
-  /// A Pipeline committed a coalesced batch of `stages` chunk stages under
-  /// `phase` occupying `hull`. `ready` is the first chunk's ready time.
-  void OnStageBatch(std::string_view phase, std::string_view device, SimSeconds pipeline_start,
-                    SimSeconds ready, Interval hull, std::uint64_t stages);
 
   /// A Pipeline::Transfer finished. `expected` is the block count the plan
   /// promised (total minus resume offset), `completed` the blocks whose read

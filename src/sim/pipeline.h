@@ -44,7 +44,6 @@
 namespace tertio::sim {
 
 class Auditor;
-class Resource;
 
 using StageId = std::size_t;
 
@@ -75,38 +74,6 @@ struct PhaseSummary {
   Interval window;
 };
 
-/// Realized per-stage durations of a coalesced batch, stored as runs: a run
-/// is `repeats` back-to-back repetitions of a contiguous pattern of values.
-/// The steady-state replay's durations are piecewise periodic, so a
-/// million-chunk batch stores O(replayed periods) values while Accumulate()
-/// reproduces the exact term-by-term float sum through the closed form
-/// (closed_form.h) — bit-identical to adding every term one at a time.
-class DurationRunList {
- public:
-  /// Appends one value (a run of length 1, merged into an open tail run).
-  void Append(SimSeconds value);
-  /// Appends `repeats` back-to-back repetitions of `pattern` (copied).
-  void AppendRun(std::span<const SimSeconds> pattern, std::uint64_t repeats);
-
-  /// Total terms represented (sum of length * repeats over runs).
-  std::uint64_t terms() const { return terms_; }
-  bool empty() const { return terms_ == 0; }
-
-  /// `acc` after every term, in order, is added into it — bit-identical to
-  /// the literal loop over the expanded sequence.
-  SimSeconds Accumulate(SimSeconds acc) const;
-
- private:
-  struct Run {
-    std::uint32_t offset = 0;
-    std::uint32_t length = 0;
-    std::uint64_t repeats = 0;
-  };
-  std::vector<SimSeconds> values_;
-  std::vector<Run> runs_;
-  std::uint64_t terms_ = 0;
-};
-
 /// Collects the spans of one run. Per-phase summaries are always maintained
 /// (bounded by the number of distinct phase labels); individual spans are
 /// retained only when set_retain(true) — full traces of paper-scale joins
@@ -128,17 +95,6 @@ class SpanTrace {
   /// Hull of all recorded spans ([0,0] when nothing was recorded).
   Interval window() const { return window_; }
 
-  /// Records a coalesced batch of `stages` chunk stages sharing one phase as
-  /// one call: `blocks`/`bytes` are batch totals, `hull` covers every chunk's
-  /// interval, and `stage_durations` (one term per chunk, in commit order)
-  /// feed the phase's busy-seconds accumulator in the exact term order of
-  /// `stages` individual Record() calls — run-compressed terms go through
-  /// the closed form, so the float sum is bit-identical either way. Only
-  /// valid when spans are not retained (a batch has no per-chunk records).
-  void RecordBatch(std::string_view phase, std::string_view device, BlockCount blocks,
-                   ByteCount bytes, Interval hull, std::uint64_t stages,
-                   const DurationRunList& stage_durations);
-
   bool empty() const { return phases_.empty(); }
   void Clear();
 
@@ -158,46 +114,6 @@ class SpanTrace {
   bool has_window_ = false;
 };
 
-/// Answer of a BlockSource/BlockSink to "what would a run of `max_chunks`
-/// equal-size chunks cost, and is that cost provably constant?" — the
-/// eligibility half of the pipeline's coalesced fast path (see
-/// Pipeline::TransferPlan::allow_coalescing). A default-constructed profile
-/// (chunks == 0) means "not coalescible": the transfer keeps the per-chunk
-/// path. Computing a profile must not mutate device state; the bookkeeping
-/// the per-chunk path would have applied (head positions, block counters,
-/// store contents) is deferred to `commit`.
-struct ChunkCostProfile {
-  /// One device operation of the cycle, issued at its chunk's ready time.
-  struct Op {
-    Resource* resource = nullptr;
-    SimSeconds seconds = 0.0;
-    ByteCount bytes = 0;
-    /// Static label for the device timeline, e.g. "tape.read".
-    const char* tag = "";
-  };
-
-  /// Chunks (from the queried offset) whose device cost is provably the
-  /// cycle below. 0 = not coalescible. Always a multiple of `cycle`.
-  /// (A chunk count is dimensionless — a number of requests, not blocks.)
-  std::uint64_t chunks = 0;
-  /// Pattern period in chunks: `ops` lists the operations of `cycle`
-  /// consecutive chunks (chunk-major; `ops_per_chunk[i]` entries for the
-  /// i-th chunk of the cycle). Striped layouts whose piece pattern rotates
-  /// across disks repeat with cycle > 1; single-device endpoints use 1.
-  std::uint64_t cycle = 1;
-  std::vector<std::uint32_t> ops_per_chunk;
-  std::vector<Op> ops;
-  /// Applies the endpoint's deferred bookkeeping for the `committed_chunks`
-  /// chunks actually batched (a multiple of `cycle`, at most `chunks`).
-  /// Called once, after the device timelines are committed. May be empty
-  /// for stateless endpoints.
-  std::function<void(std::uint64_t committed_chunks)> commit;
-
-  /// Profile of a free endpoint (zero-cost, stateless — a memory sink):
-  /// every chunk is a zero-duration operation at its ready time.
-  static ChunkCostProfile Free(std::uint64_t max_chunks);
-};
-
 /// Producer side of a Transfer: a logical sequence of blocks read in chunks.
 /// Implementations charge the device model and return the occupied interval
 /// (tape::TapeReadSource, disk::ExtentReadSource, ...).
@@ -213,17 +129,6 @@ class BlockSource {
 
   /// Device label for spans, e.g. "tapeR", "disks".
   virtual std::string_view device() const = 0;
-
-  /// Cost profile of a prospective coalesced run of up to `max_chunks`
-  /// chunks of `chunk` blocks each starting at `offset`. The default ("not
-  /// coalescible") keeps the per-chunk path.
-  virtual ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                       std::uint64_t max_chunks) {
-    (void)offset;
-    (void)chunk;
-    (void)max_chunks;
-    return {};
-  }
 };
 
 /// Consumer side of a Transfer. `payloads` is null in timing-only runs.
@@ -235,15 +140,6 @@ class BlockSink {
                                  std::vector<BlockPayload>* payloads) = 0;
 
   virtual std::string_view device() const = 0;
-
-  /// See BlockSource::CostProfile.
-  virtual ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                       std::uint64_t max_chunks) {
-    (void)offset;
-    (void)chunk;
-    (void)max_chunks;
-    return {};
-  }
 };
 
 /// The eager stage scheduler. One Pipeline spans one join execution (or one
@@ -316,10 +212,6 @@ class Pipeline {
   /// lifetime (kDeviceError recoveries at transfer granularity).
   std::uint64_t chunk_retries() const { return chunk_retries_; }
 
-  /// Chunks committed through the coalesced fast path across this
-  /// pipeline's lifetime (0 when every transfer ran per-chunk).
-  std::uint64_t coalesced_chunks() const { return coalesced_chunks_; }
-
   /// Resumable progress of one Transfer. A caller that passes a checkpoint
   /// can re-issue a Transfer that failed with kDeviceError and have it pick
   /// up at the first incomplete chunk instead of re-running the whole pass —
@@ -355,26 +247,6 @@ class Pipeline {
     /// `checkpoint->completed_blocks` and keeps the struct current after
     /// every completed chunk, so the caller can re-issue on failure.
     TransferCheckpoint* checkpoint = nullptr;
-    /// Allow the coalesced fast path: when both endpoints prove their
-    /// per-chunk cost constant over a run of full chunks (CostProfile) and
-    /// the plan moves no payloads, keeps no checkpoint, and retains no
-    /// per-span trace, the steady-state read/write recurrence is replayed in
-    /// closed O(chunks) scalar form and committed as ONE batched read stage
-    /// plus ONE batched write stage — bit-identical in simulated seconds and
-    /// every span/resource aggregate to the per-chunk loop. Ineligible
-    /// windows (fault plans, positioning boundaries, tail chunks) fall back
-    /// per-chunk and coalescing re-arms after them. Off forces per-chunk
-    /// scheduling for every chunk (A/B validation, tests).
-    bool allow_coalescing = true;
-    /// Commit eligible windows in closed form: after a scalar warm-up the
-    /// steady-state recurrence repeats as an exact per-period translation on
-    /// the float grid, and the remaining periods are committed with O(1)
-    /// arithmetic per jump instead of an O(chunks) replay — bit-identical in
-    /// simulated seconds and every aggregate (the jump fires only when the
-    /// translation is verified exact; see DESIGN.md §5.1). Off keeps the
-    /// coalesced window's full scalar replay (the O(chunks) reference; the
-    /// three-way equivalence tests compare per-chunk / replay / closed form).
-    bool closed_form_commit = true;
   };
 
   struct TransferResult {
@@ -401,16 +273,6 @@ class Pipeline {
  private:
   StageId Commit(std::string_view phase, std::string_view device, BlockCount blocks,
                  ByteCount bytes, SimSeconds ready, Interval interval);
-  StageId CommitBatch(std::string_view phase, std::string_view device, BlockCount blocks,
-                      ByteCount bytes, SimSeconds ready, Interval hull, std::uint64_t stages,
-                      const DurationRunList& stage_durations);
-
-  /// Attempts to commit `want` full chunks starting at `offset` through the
-  /// coalesced fast path. \returns the chunks committed (0 = ineligible;
-  /// the caller falls back per-chunk and may re-attempt at a later offset).
-  std::uint64_t CoalesceChunks(const TransferPlan& plan, BlockSource& source, BlockSink& sink,
-                               std::span<const StageId> deps, BlockCount offset,
-                               BlockCount chunk, std::uint64_t want, TransferResult& result);
 
   SimSeconds start_;
   SpanTrace* trace_;
@@ -419,7 +281,6 @@ class Pipeline {
   SimSeconds horizon_ = 0.0;
   bool any_stage_ = false;
   std::uint64_t chunk_retries_ = 0;
-  std::uint64_t coalesced_chunks_ = 0;
 };
 
 /// A zero-cost sink that collects payloads in memory — the "consumer is the
@@ -435,15 +296,6 @@ class CollectSink final : public BlockSink {
   Result<Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                          std::vector<BlockPayload>* payloads) override;
   std::string_view device() const override { return device_; }
-
-  /// Memory consumption is free and (in a non-moving transfer) stateless,
-  /// so any run of chunks is coalescible.
-  ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                               std::uint64_t max_chunks) override {
-    (void)offset;
-    (void)chunk;
-    return ChunkCostProfile::Free(max_chunks);
-  }
 
  private:
   std::vector<BlockPayload>* out_;

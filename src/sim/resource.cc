@@ -1,7 +1,6 @@
 #include "sim/resource.h"
 
 #include "sim/auditor.h"
-#include "sim/closed_form.h"
 
 namespace tertio::sim {
 
@@ -22,39 +21,6 @@ Interval Resource::Schedule(SimSeconds ready, SimSeconds duration, ByteCount byt
   if (trace_enabled_) trace_.push_back(OpRecord{interval, bytes, tag});
   if (auditor_ != nullptr) auditor_->OnSchedule(name_, ready, interval, bytes);
   return interval;
-}
-
-Interval Resource::ScheduleBatch(std::uint64_t cycles,
-                                 std::span<const SimSeconds> cycle_durations,
-                                 std::span<const ByteCount> cycle_bytes, Interval hull,
-                                 const char* tag) {
-  TERTIO_CHECK(cycles > 0, "a batch must commit at least one cycle");
-  TERTIO_CHECK(!cycle_durations.empty(), "a batch cycle must hold at least one operation");
-  TERTIO_CHECK(cycle_durations.size() == cycle_bytes.size(),
-               "batch cycle durations and bytes must align");
-  TERTIO_CHECK(hull.start >= available_, "batch hull starts inside the committed timeline");
-  TERTIO_CHECK(hull.end >= hull.start, "batch hull ends before it starts");
-  TERTIO_CHECK(!trace_enabled_, "a coalesced batch cannot retain per-operation trace records");
-  available_ = hull.end;
-  stats_.op_count += cycles * cycle_durations.size();
-  ByteCount bytes_per_cycle = 0;
-  for (ByteCount b : cycle_bytes) bytes_per_cycle += b;
-  stats_.bytes_transferred += cycles * bytes_per_cycle;
-  // Busy time must accumulate per operation in commit order: float addition
-  // is not associative, so a naive `cycles * sum` would drift from the
-  // per-op path in low-order bits. The closed form replays that exact
-  // iterated rounding in O(binades crossed) instead of O(cycles).
-  stats_.busy_seconds = IteratedAddCycle(stats_.busy_seconds, cycle_durations, cycles);
-  if (hull.end > stats_.horizon) stats_.horizon = hull.end;
-  if (horizon_cell_ != nullptr && hull.end > horizon_cell_->max_end) {
-    horizon_cell_->max_end = hull.end;
-  }
-  if (auditor_ != nullptr) {
-    auditor_->OnScheduleBatch(name_, hull, cycles * cycle_durations.size(),
-                              cycles * bytes_per_cycle);
-  }
-  (void)tag;
-  return hull;
 }
 
 double Resource::Utilization(SimSeconds until) const {

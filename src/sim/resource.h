@@ -20,7 +20,6 @@
 /// tertio do this by construction (they model sequential device queues).
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -71,22 +70,6 @@ class Resource {
   /// device for `duration` seconds. \returns the interval it occupies.
   Interval Schedule(SimSeconds ready, SimSeconds duration, ByteCount bytes = 0,
                     const char* tag = "");
-
-  /// Commits `cycles` repetitions of a fixed cycle of back-to-back operations
-  /// as one batch — the device half of the pipeline's coalesced fast path
-  /// (pipeline.h). The caller has already replayed the per-operation
-  /// recurrence and supplies `hull` = [first operation's start, last
-  /// operation's end]; this call updates the timeline and the aggregate
-  /// counters exactly as `cycles * cycle_durations.size()` individual
-  /// Schedule() calls would have: op_count and bytes gain the full
-  /// multiplicity, and busy_seconds accumulates every per-operation duration
-  /// in commit order so the float sum is bit-identical to the per-op path.
-  /// Requires hull.start >= available_at() (the batch replay started from
-  /// this device's live timeline) and tracing disabled (a batch retains no
-  /// per-op records).
-  Interval ScheduleBatch(std::uint64_t cycles, std::span<const SimSeconds> cycle_durations,
-                         std::span<const ByteCount> cycle_bytes, Interval hull,
-                         const char* tag = "");
 
   /// Time at which the device becomes free.
   SimSeconds available_at() const { return available_; }

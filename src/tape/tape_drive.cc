@@ -199,66 +199,6 @@ Result<sim::Interval> TapeDrive::ReadReverse(BlockCount count, SimSeconds ready,
   return resource_->Schedule(ready, duration, bytes, "tape.read-reverse");
 }
 
-sim::ChunkCostProfile TapeDrive::ReadCostProfile(BlockIndex start, BlockCount chunk,
-                                                 std::uint64_t max_chunks) {
-  if (volume_ == nullptr || chunk == 0 || max_chunks == 0) return {};
-  // Any active fault plan must flow through the per-chunk path: it draws
-  // from a seeded RNG stream whose consumption order is part of the
-  // simulation's reproducibility contract.
-  if (faults_ != nullptr && faults_->enabled()) return {};
-  // A shared-pass or cache window forces the per-chunk path too: whether a
-  // chunk is multicast / disk-served or physically read is decided per
-  // Read().
-  if (shared_pass_active() || cache_window_active()) return {};
-  // The steady state replayed here begins with SeekCost(start) == 0; a cold
-  // head runs one per-chunk read first and the caller re-attempts after it.
-  if (head_ != start) return {};
-  std::uint64_t n = volume_->UniformPrefixChunks(start, chunk, max_chunks);
-  if (n == 0) return {};
-  Result<double> mean_c = volume_->MeanCompressibility(start, chunk);
-  if (!mean_c.ok()) return {};
-  ByteCount bytes = chunk * volume_->block_bytes();
-  sim::ChunkCostProfile profile;
-  profile.chunks = n;
-  profile.cycle = 1;
-  profile.ops_per_chunk = {1};
-  profile.ops = {{resource_, model_.TransferSeconds(bytes, *mean_c), bytes, "tape.read"}};
-  profile.commit = [this, start, chunk](std::uint64_t committed) {
-    head_ = start + committed * chunk;
-    stats_.blocks_read += committed * chunk;
-  };
-  return profile;
-}
-
-sim::ChunkCostProfile TapeDrive::AppendCostProfile(double compressibility, BlockCount chunk,
-                                                   std::uint64_t max_chunks) {
-  if (volume_ == nullptr || chunk == 0 || max_chunks == 0) return {};
-  if (faults_ != nullptr && faults_->enabled()) return {};
-  if (compressibility < 0.0 || compressibility >= 1.0) return {};
-  // Replaying SeekCost(end-of-data) == 0 requires the head already parked
-  // there — true from the second chunk of any append stream onward.
-  if (head_ != volume_->size_blocks()) return {};
-  std::uint64_t n = max_chunks;
-  if (volume_->capacity_blocks() != 0) {
-    BlockCount room = volume_->capacity_blocks() - volume_->size_blocks();
-    if (room / chunk < n) n = room / chunk;
-  }
-  if (n == 0) return {};
-  ByteCount bytes = chunk * volume_->block_bytes();
-  sim::ChunkCostProfile profile;
-  profile.chunks = n;
-  profile.cycle = 1;
-  profile.ops_per_chunk = {1};
-  profile.ops = {{resource_, model_.TransferSeconds(bytes, compressibility), bytes, "tape.write"}};
-  profile.commit = [this, compressibility, chunk](std::uint64_t committed) {
-    Status appended = volume_->AppendPhantom(committed * chunk, compressibility);
-    TERTIO_CHECK(appended.ok(), "coalesced tape append exceeded the capacity it pre-checked");
-    head_ = ToIndex(volume_->size_blocks());
-    stats_.blocks_written += committed * chunk;
-  };
-  return profile;
-}
-
 Result<sim::StageId> TapeDrive::IssueRead(sim::Pipeline& pipe, std::string_view phase,
                                           std::span<const sim::StageId> deps, BlockIndex start,
                                           BlockCount count, std::vector<BlockPayload>* out,

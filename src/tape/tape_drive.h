@@ -167,22 +167,6 @@ class TapeDrive {
            cache_reader_ != nullptr;
   }
 
-  /// Steady-state cost profile for up to `max_chunks` sequential reads of
-  /// `chunk` blocks starting at `start` (sim/pipeline.h coalescing). Empty —
-  /// per-chunk fallback — unless the head already sits at `start` (so no
-  /// locate is charged), no fault plan is active, and the stored
-  /// compressibility is uniform over the prefix (so every chunk's mean, and
-  /// therefore its transfer time, is bit-identical).
-  sim::ChunkCostProfile ReadCostProfile(BlockIndex start, BlockCount chunk,
-                                        std::uint64_t max_chunks);
-
-  /// Steady-state cost profile for up to `max_chunks` phantom appends of
-  /// `chunk` blocks at end-of-data. Empty unless the head is parked at
-  /// end-of-data, no fault plan is active, and the remaining capacity admits
-  /// at least one chunk.
-  sim::ChunkCostProfile AppendCostProfile(double compressibility, BlockCount chunk,
-                                          std::uint64_t max_chunks);
-
   /// Emits a read of [start, start+count) as one pipeline stage ready after
   /// `deps`, re-attempted in place up to `retry_limit` times on kDeviceError
   /// (a failed read delivers nothing, so a re-read is clean). \returns the
@@ -247,10 +231,6 @@ class TapeReadSource final : public sim::BlockSource {
                              std::vector<BlockPayload>* out) override {
     return drive_->Read(base_ + offset, count, ready, out);
   }
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    return drive_->ReadCostProfile(base_ + offset, chunk, max_chunks);
-  }
   std::string_view device() const override { return drive_->name(); }
 
  private:
@@ -269,11 +249,6 @@ class TapeAppendSink final : public sim::BlockSink {
     (void)offset;
     if (payloads == nullptr) return drive_->AppendPhantom(count, compressibility_, ready);
     return drive_->Append(*payloads, compressibility_, ready);
-  }
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    (void)offset;
-    return drive_->AppendCostProfile(compressibility_, chunk, max_chunks);
   }
   std::string_view device() const override { return drive_->name(); }
 

@@ -1,7 +1,5 @@
 #include "tape/tape_volume.h"
 
-#include <algorithm>
-
 #include "sim/auditor.h"
 #include "util/string_util.h"
 
@@ -16,7 +14,6 @@ Status TapeVolume::Append(BlockPayload payload, double compressibility) {
         StrFormat("tape %s is full (%llu blocks)", name_.c_str(),
                   static_cast<unsigned long long>(capacity_blocks_.value())));
   }
-  NoteAppendRun(static_cast<float>(compressibility));
   blocks_.push_back(Entry{std::move(payload), static_cast<float>(compressibility)});
   if (auditor_ != nullptr) auditor_->OnTapeOccupancy(name_, blocks_.size(), capacity_blocks_);
   return Status::OK();
@@ -31,16 +28,9 @@ Status TapeVolume::AppendPhantom(BlockCount count, double compressibility) {
         StrFormat("tape %s cannot hold %llu more blocks", name_.c_str(),
                   static_cast<unsigned long long>(count.value())));
   }
-  if (count > 0) NoteAppendRun(static_cast<float>(compressibility));
   blocks_.insert(blocks_.end(), count.value(), Entry{nullptr, static_cast<float>(compressibility)});
   if (auditor_ != nullptr) auditor_->OnTapeOccupancy(name_, blocks_.size(), capacity_blocks_);
   return Status::OK();
-}
-
-void TapeVolume::NoteAppendRun(float compressibility) {
-  if (runs_.empty() || runs_.back().compressibility != compressibility) {
-    runs_.push_back(Run{blocks_.size(), compressibility});
-  }
 }
 
 Result<BlockPayload> TapeVolume::ReadBlock(BlockIndex index) const {
@@ -63,22 +53,6 @@ Result<double> TapeVolume::MeanCompressibility(BlockIndex start, BlockCount coun
   return sum / static_cast<double>(count.value());
 }
 
-std::uint64_t TapeVolume::UniformPrefixChunks(BlockIndex start, BlockCount chunk,
-                                           std::uint64_t max_chunks) const {
-  if (chunk == 0 || start >= blocks_.size()) return 0;
-  std::uint64_t whole = (blocks_.size() - start) / chunk;
-  if (max_chunks < whole) whole = max_chunks;
-  if (whole == 0) return 0;
-  // Adjacent runs always differ in value, so the uniform extent from `start`
-  // is exactly the remainder of the run containing it.
-  auto next = std::upper_bound(
-      runs_.begin(), runs_.end(), start,
-      [](BlockIndex index, const Run& run) { return index < run.begin; });
-  const BlockIndex run_end = next == runs_.end() ? blocks_.size() : next->begin;
-  const std::uint64_t uniform = (run_end - start) / chunk;
-  return uniform < whole ? uniform : whole;
-}
-
 Status TapeVolume::Truncate(BlockCount new_size) {
   if (new_size > blocks_.size()) {
     return Status::InvalidArgument(
@@ -86,7 +60,6 @@ Status TapeVolume::Truncate(BlockCount new_size) {
                   static_cast<unsigned long long>(new_size.value()), blocks_.size()));
   }
   blocks_.resize(new_size.value());
-  while (!runs_.empty() && runs_.back().begin >= new_size) runs_.pop_back();
   return Status::OK();
 }
 

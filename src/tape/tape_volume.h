@@ -57,14 +57,6 @@ class TapeVolume {
   /// cost a multi-block transfer.
   Result<double> MeanCompressibility(BlockIndex start, BlockCount count) const;
 
-  /// Number of leading whole `chunk`-block chunks from `start` (at most
-  /// `max_chunks`, clamped to the recorded range) whose blocks all carry the
-  /// same stored compressibility as block `start`. Within such a prefix every
-  /// chunk's MeanCompressibility is bit-identical, so a coalesced transfer
-  /// can replay one chunk's cost for all of them. O(log runs): appends keep
-  /// a run-length index of equal-compressibility runs.
-  std::uint64_t UniformPrefixChunks(BlockIndex start, BlockCount chunk, std::uint64_t max_chunks) const;
-
   /// Discards all blocks at and after `new_size` (rewriting scratch space).
   Status Truncate(BlockCount new_size);
 
@@ -78,24 +70,13 @@ class TapeVolume {
     BlockPayload payload;  // nullptr = phantom
     float compressibility;
   };
-  /// One maximal run of equal-compressibility blocks starting at `begin`;
-  /// it extends to the next run's begin (or end-of-data). Adjacent runs
-  /// always differ in value: appends merge into the last run when they can.
-  struct Run {
-    BlockIndex begin;
-    float compressibility;
-  };
-
   Status CheckRange(BlockIndex start, BlockCount count) const;
-  /// Extends the run index for blocks about to be appended at end-of-data.
-  void NoteAppendRun(float compressibility);
 
   std::string name_;
   ByteCount block_bytes_;
   BlockCount capacity_blocks_;
   sim::Auditor* auditor_ = nullptr;
   std::vector<Entry> blocks_;
-  std::vector<Run> runs_;
 };
 
 }  // namespace tertio::tape

@@ -16,9 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/experiment.h"
 #include "exec/machine.h"
-#include "join/join_common.h"
 #include "join/join_method.h"
 #include "join/reference_join.h"
 #include "relation/generator.h"
@@ -436,8 +434,7 @@ struct FaultyRun {
   sim::FaultStats machine_faults;
 };
 
-Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId method,
-                                 bool coalesce = true) {
+Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId method) {
   exec::Machine machine(FaultyMachine(faults));
   FaultyRun run;
   rel::GeneratorConfig rc, sc;
@@ -461,9 +458,7 @@ Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId meth
   spec.r = &r;
   spec.s = &s;
   auto executor = CreateJoinMethod(method);
-  JoinContext ctx = machine.context();
-  ctx.coalesce_transfers = coalesce;
-  TERTIO_ASSIGN_OR_RETURN(run.stats, executor->Execute(spec, ctx));
+  TERTIO_ASSIGN_OR_RETURN(run.stats, executor->Execute(spec, machine.context()));
   run.machine_faults = machine.TotalFaultStats();
   return run;
 }
@@ -532,28 +527,6 @@ TEST_P(FaultyJoinTest, ChunkRetriesRecoverHardDeviceFailures) {
   EXPECT_EQ(run->stats.output_checksum, run->reference.checksum());
 }
 
-TEST_P(FaultyJoinTest, CoalescingToggleIsInvisibleUnderFaults) {
-  // With injectors active the coalesced fast path must disengage (batching
-  // would skip the per-chunk fault draws and desynchronise the seeded RNG
-  // stream), so toggling JoinContext::coalesce_transfers changes nothing:
-  // both runs take the per-chunk path and replay each other exactly.
-  auto on = RunUnderFaults(ModeratePlan(), GetParam(), /*coalesce=*/true);
-  auto off = RunUnderFaults(ModeratePlan(), GetParam(), /*coalesce=*/false);
-  ASSERT_TRUE(on.ok()) << on.status();
-  ASSERT_TRUE(off.ok()) << off.status();
-  EXPECT_GT(on->stats.faults_injected, 0u);
-  EXPECT_EQ(on->stats.response_seconds, off->stats.response_seconds);
-  EXPECT_EQ(on->stats.step1_seconds, off->stats.step1_seconds);
-  EXPECT_EQ(on->stats.step2_seconds, off->stats.step2_seconds);
-  EXPECT_EQ(on->stats.faults_injected, off->stats.faults_injected);
-  EXPECT_EQ(on->stats.fault_retries, off->stats.fault_retries);
-  EXPECT_EQ(on->stats.blocks_remapped, off->stats.blocks_remapped);
-  EXPECT_EQ(on->stats.chunk_retries, off->stats.chunk_retries);
-  EXPECT_EQ(on->stats.recovery_seconds, off->stats.recovery_seconds);
-  EXPECT_EQ(on->stats.disk_requests, off->stats.disk_requests);
-  EXPECT_EQ(on->stats.output_checksum, off->stats.output_checksum);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllMethods, FaultyJoinTest,
                          ::testing::Values(JoinMethodId::kDtNb, JoinMethodId::kCdtNbMb,
                                            JoinMethodId::kCdtNbDb, JoinMethodId::kDtGh,
@@ -566,61 +539,6 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, FaultyJoinTest,
                            }
                            return name;
                          });
-
-// ---- Coalescing fallback boundary ------------------------------------------
-
-// A fault injector on the device empties its chunk cost profiles: the profile
-// is the coalescing contract ("every chunk costs exactly this"), and a faulty
-// device cannot promise that without consuming its per-chunk fault draws.
-TEST(CoalesceFaultFallback, EnabledInjectorEmptiesTapeCostProfiles) {
-  sim::Simulation sim;
-  tape::TapeVolume volume("t", kBlock);
-  ASSERT_TRUE(volume.AppendPhantom(256, 0.25).ok());
-  tape::TapeDrive drive("tapeR", tape::TapeDriveModel::DLT4000(),
-                        sim.CreateResource("tape"));
-  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-  EXPECT_GT(drive.ReadCostProfile(0, 8, 16).chunks, 0u);
-
-  sim::FaultProfile profile;
-  profile.transient_read_error_rate = 0.01;
-  sim::FaultInjector injector(profile, 1, "tapeR");
-  drive.set_fault_injector(&injector);
-  EXPECT_EQ(drive.ReadCostProfile(0, 8, 16).chunks, 0u);
-  EXPECT_EQ(drive.AppendCostProfile(0.25, 8, 16).chunks, 0u);
-
-  // Removing the injector restores the fast path.
-  drive.set_fault_injector(nullptr);
-  EXPECT_GT(drive.ReadCostProfile(0, 8, 16).chunks, 0u);
-}
-
-// End-to-end: on a machine with a fault plan, the shared transfer helpers
-// never engage the coalesced path (contrast with the SimSan engagement test
-// on a clean machine, where the same staging coalesces most of its chunks).
-TEST(CoalesceFaultFallback, FaultyMachineForcesThePerChunkPath) {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-  config.faults = ModeratePlan();
-  exec::Machine machine(config);
-  exec::WorkloadConfig workload;
-  workload.r_bytes = 18 * kMB;
-  workload.s_bytes = 100 * kMB;
-  workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  JoinContext ctx = machine.context();
-
-  sim::Pipeline pipe(ctx.sim->Horizon(), nullptr, ctx.sim->auditor());
-  BlockCount chunk = DefaultTapeChunk(prepared->r);
-  auto staged = StageRelationToDisk(ctx, pipe, ctx.drive_r, prepared->r, chunk,
-                                    /*concurrent=*/true, "faulty-r", {});
-  ASSERT_TRUE(staged.ok()) << staged.status();
-  EXPECT_EQ(pipe.coalesced_chunks(), 0u);
-
-  auto scan = ScanDiskAndProbe(ctx, pipe, "r-scan", staged->extents, chunk,
-                               {staged->done_stage}, /*phantom=*/true, nullptr, 0,
-                               nullptr, nullptr);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  EXPECT_EQ(pipe.coalesced_chunks(), 0u);
-}
 
 }  // namespace
 }  // namespace tertio::join

@@ -9,12 +9,12 @@
 #include "join/advisor.h"
 #include "join/flat_table.h"
 #include "join/join_method.h"
-#include "join/legacy_table.h"
 #include "join/reference_join.h"
 #include "relation/block.h"
 #include "relation/generator.h"
 #include "relation/tuple.h"
 #include "tape/tape_volume.h"
+#include "legacy_table.h"
 
 namespace tertio::join {
 namespace {

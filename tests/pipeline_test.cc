@@ -154,196 +154,6 @@ TEST(PipelineTest, SpanWindowMatchesHorizon) {
   EXPECT_NE(gantt.find("write"), std::string::npos);
 }
 
-// A device that advertises its steady-state chunk costs through CostProfile,
-// with call counters to observe which path Transfer took.
-class CoalescibleDevice final : public BlockSource, public BlockSink {
- public:
-  CoalescibleDevice(std::string name, SimSeconds seconds_per_block)
-      : resource_(std::move(name)), cost_(seconds_per_block) {}
-
-  Result<Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
-                        std::vector<BlockPayload>* out) override {
-    (void)offset;
-    if (out != nullptr) out->resize(((out->size() + count)).value());
-    ++read_calls_;
-    return resource_.Schedule(ready, cost_ * static_cast<double>(count.value()));
-  }
-
-  Result<Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
-                         std::vector<BlockPayload>* payloads) override {
-    (void)offset;
-    (void)payloads;
-    ++write_calls_;
-    return resource_.Schedule(ready, cost_ * static_cast<double>(count.value()));
-  }
-
-  ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                               std::uint64_t max_chunks) override {
-    (void)offset;
-    ChunkCostProfile profile;
-    profile.chunks = max_chunks;
-    profile.cycle = 1;
-    profile.ops_per_chunk = {1};
-    profile.ops = {{&resource_, cost_ * static_cast<double>(chunk.value()), 0, "op"}};
-    profile.commit = [this](BlockCount committed) { committed_ += committed; };
-    return profile;
-  }
-
-  std::string_view device() const override { return resource_.name(); }
-
-  Resource& resource() { return resource_; }
-  int read_calls() const { return read_calls_; }
-  int write_calls() const { return write_calls_; }
-  BlockCount committed_chunks() const { return committed_; }
-
- private:
-  Resource resource_;
-  SimSeconds cost_;
-  int read_calls_ = 0;
-  int write_calls_ = 0;
-  BlockCount committed_ = 0;
-};
-
-// One Transfer over a pair of CoalescibleDevices, with everything a
-// bit-identity comparison needs captured by value.
-struct CoalesceRun {
-  SimSeconds source_done = 0.0;
-  SimSeconds done = 0.0;
-  SimSeconds horizon = 0.0;
-  std::uint64_t coalesced_chunks = 0;
-  int read_calls = 0;
-  int write_calls = 0;
-  BlockCount committed_chunks = 0;
-  ResourceStats src_stats;
-  ResourceStats dst_stats;
-  SpanTrace trace;
-};
-
-CoalesceRun RunCoalescibleTransfer(bool allow, bool streaming, BlockCount total,
-                                   BlockCount chunk) {
-  CoalescibleDevice src("src", 0.125);
-  CoalescibleDevice dst("dst", 0.25);
-  CoalesceRun run;
-  Pipeline pipe(3.0, &run.trace);
-  Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
-  plan.total = total;
-  plan.chunk = chunk;
-  plan.streaming = streaming;
-  plan.allow_coalescing = allow;
-  auto result = pipe.Transfer(plan, src, dst);
-  TERTIO_CHECK(result.ok(), "coalescible transfer failed");
-  run.source_done = result->source_done;
-  run.done = result->done;
-  run.horizon = pipe.Horizon();
-  run.coalesced_chunks = pipe.coalesced_chunks();
-  run.read_calls = src.read_calls();
-  run.write_calls = dst.write_calls();
-  run.committed_chunks = src.committed_chunks();
-  run.src_stats = src.resource().stats();
-  run.dst_stats = dst.resource().stats();
-  return run;
-}
-
-void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
-  // Exact comparisons throughout: the fast path's claim is bit-identity,
-  // not tolerance-level agreement.
-  EXPECT_EQ(a.source_done, b.source_done);
-  EXPECT_EQ(a.done, b.done);
-  EXPECT_EQ(a.horizon, b.horizon);
-  EXPECT_EQ(a.src_stats.op_count, b.src_stats.op_count);
-  EXPECT_EQ(a.src_stats.busy_seconds, b.src_stats.busy_seconds);
-  EXPECT_EQ(a.src_stats.horizon, b.src_stats.horizon);
-  EXPECT_EQ(a.dst_stats.op_count, b.dst_stats.op_count);
-  EXPECT_EQ(a.dst_stats.busy_seconds, b.dst_stats.busy_seconds);
-  EXPECT_EQ(a.dst_stats.horizon, b.dst_stats.horizon);
-  ASSERT_EQ(a.trace.phases().size(), b.trace.phases().size());
-  for (std::size_t i = 0; i < a.trace.phases().size(); ++i) {
-    const PhaseSummary& pa = a.trace.phases()[i];
-    const PhaseSummary& pb = b.trace.phases()[i];
-    EXPECT_EQ(pa.phase, pb.phase);
-    EXPECT_EQ(pa.device, pb.device);
-    EXPECT_EQ(pa.stage_count, pb.stage_count);
-    EXPECT_EQ(pa.blocks, pb.blocks);
-    EXPECT_EQ(pa.bytes, pb.bytes);
-    EXPECT_EQ(pa.busy_seconds, pb.busy_seconds);
-    EXPECT_EQ(pa.window.start, pb.window.start);
-    EXPECT_EQ(pa.window.end, pb.window.end);
-  }
-  EXPECT_EQ(a.trace.window().start, b.trace.window().start);
-  EXPECT_EQ(a.trace.window().end, b.trace.window().end);
-}
-
-// The tentpole claim: the coalesced fast path commits the same simulated
-// seconds and aggregates as the per-chunk loop, while engaging (batching
-// nearly all chunks into O(1) endpoint calls).
-TEST(PipelineCoalesceTest, CoalescedTransferIsBitIdenticalToPerChunk) {
-  for (bool streaming : {false, true}) {
-    SCOPED_TRACE(streaming ? "streaming" : "lock-step");
-    CoalesceRun fast = RunCoalescibleTransfer(/*allow=*/true, streaming, 64, 4);
-    CoalesceRun slow = RunCoalescibleTransfer(/*allow=*/false, streaming, 64, 4);
-    EXPECT_EQ(fast.coalesced_chunks, 16u);
-    EXPECT_EQ(fast.committed_chunks, 16u);
-    EXPECT_EQ(fast.read_calls, 0);
-    EXPECT_EQ(fast.write_calls, 0);
-    EXPECT_EQ(slow.coalesced_chunks, 0u);
-    EXPECT_EQ(slow.read_calls, 16);
-    EXPECT_EQ(slow.write_calls, 16);
-    ExpectBitIdentical(fast, slow);
-  }
-}
-
-// A total that is not a chunk multiple leaves a tail chunk; the batch covers
-// the full chunks and the tail runs per-chunk, with identical results.
-TEST(PipelineCoalesceTest, TailChunkRunsPerChunkAfterTheBatch) {
-  CoalesceRun fast = RunCoalescibleTransfer(/*allow=*/true, /*streaming=*/true, 61, 4);
-  CoalesceRun slow = RunCoalescibleTransfer(/*allow=*/false, /*streaming=*/true, 61, 4);
-  EXPECT_EQ(fast.coalesced_chunks, 15u);
-  EXPECT_EQ(fast.read_calls, 1);  // the 1-block tail
-  ExpectBitIdentical(fast, slow);
-}
-
-// Retained span lists need one span per stage, which a batch cannot supply:
-// a retaining trace must force the per-chunk path.
-TEST(PipelineCoalesceTest, RetainedTraceForcesPerChunkPath) {
-  CoalescibleDevice src("src", 1.0);
-  CoalescibleDevice dst("dst", 1.0);
-  SpanTrace trace;
-  trace.set_retain(true);
-  Pipeline pipe(0.0, &trace);
-  Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
-  plan.total = 8;
-  plan.chunk = 2;
-  plan.streaming = true;
-  auto result = pipe.Transfer(plan, src, dst);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(pipe.coalesced_chunks(), 0u);
-  EXPECT_EQ(src.read_calls(), 4);
-  EXPECT_EQ(trace.spans().size(), 8u);
-}
-
-// A per-op device trace (Resource::EnableTrace) also cannot be reconstructed
-// from a batch; a traced resource vetoes coalescing at the slot level.
-TEST(PipelineCoalesceTest, TracedResourceForcesPerChunkPath) {
-  CoalescibleDevice src("src", 1.0);
-  CoalescibleDevice dst("dst", 1.0);
-  src.resource().EnableTrace();
-  Pipeline pipe(0.0);
-  Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
-  plan.total = 8;
-  plan.chunk = 2;
-  plan.streaming = true;
-  auto result = pipe.Transfer(plan, src, dst);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(pipe.coalesced_chunks(), 0u);
-  EXPECT_EQ(src.resource().trace().size(), 4u);
-}
-
 class SliceExtentsTest : public ::testing::Test {
  protected:
   // 8 logical blocks: 5 on disk 0 at 10, then 3 on disk 1 at 0.

@@ -5,11 +5,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/closed_form.h"
 #include "sim/interval.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
-#include "util/rng.h"
 
 namespace tertio::sim {
 namespace {
@@ -73,34 +71,6 @@ TEST(ResourceTest, TraceRecordsOps) {
   EXPECT_STREQ(r.trace()[0].tag, "a");
   EXPECT_EQ(r.trace()[1].bytes, 20u);
   EXPECT_DOUBLE_EQ(r.trace()[1].interval.start.value(), 1.0);
-}
-
-// A coalesced batch must leave the resource in exactly the state the
-// equivalent per-op Schedule sequence would have: same availability, stats
-// (busy seconds accumulated in the same float order), and horizon.
-TEST(ResourceTest, ScheduleBatchMatchesPerOpSchedules) {
-  Resource per_op("dev");
-  std::vector<SimSeconds> durations{0.125, 0.25, 0.125, 0.25};
-  std::vector<ByteCount> bytes{100, 200, 100, 200};
-  Interval hull;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (std::size_t i = 0; i < durations.size(); ++i) {
-      Interval interval = per_op.Schedule(0.5, durations[i], bytes[i], "op");
-      if (cycle == 0 && i == 0) hull.start = interval.start;
-      hull.end = interval.end;
-    }
-  }
-  Resource batched("dev");
-  std::vector<SimSeconds> cycle_durations{durations[0], durations[1]};
-  std::vector<ByteCount> cycle_bytes{bytes[0], bytes[1]};
-  Interval got = batched.ScheduleBatch(6, cycle_durations, cycle_bytes, hull, "op");
-  EXPECT_DOUBLE_EQ(got.start.value(), (hull.start).value());
-  EXPECT_DOUBLE_EQ(got.end.value(), (hull.end).value());
-  EXPECT_DOUBLE_EQ((batched.available_at()).value(), (per_op.available_at()).value());
-  EXPECT_EQ(batched.stats().op_count, per_op.stats().op_count);
-  EXPECT_EQ(batched.stats().bytes_transferred, per_op.stats().bytes_transferred);
-  EXPECT_EQ(batched.stats().busy_seconds, per_op.stats().busy_seconds);
-  EXPECT_DOUBLE_EQ(batched.stats().horizon.value(), (per_op.stats().horizon).value());
 }
 
 TEST(ResourceTest, TraceOffByDefault) {
@@ -180,71 +150,6 @@ TEST(TraceReportTest, CsvListsEveryOp) {
   EXPECT_NE(csv.find("resource,tag,start,end,bytes"), std::string::npos);
   EXPECT_NE(csv.find("dev,a,0,1,100"), std::string::npos);
   EXPECT_NE(csv.find("dev,b,1,3,200"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Closed-form iterated accumulation (sim/closed_form.h): the O(1)-per-binade
-// jump must be bit-identical to the literal rounded-addition loop. These are
-// exactness tests — EXPECT_EQ on doubles throughout, never near-comparisons.
-// ---------------------------------------------------------------------------
-
-SimSeconds LiteralLoop(SimSeconds acc, std::span<const SimSeconds> deltas,
-                       std::uint64_t cycles) {
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    for (SimSeconds d : deltas) acc += d;
-  }
-  return acc;
-}
-
-TEST(ClosedFormTest, MatchesLiteralLoopAcrossBinadeCrossings) {
-  // Deltas sized so a few hundred thousand iterations cross many binades of
-  // the accumulator, including the transition from a zero start.
-  const std::vector<std::vector<SimSeconds>> cycles = {
-      {1e-7},
-      {3.515625e-3},                        // exact dyadic step
-      {1e-7, 2.5e-6, 3.3e-5},               // mixed-magnitude cycle
-      {0.125, 0.1249999999999999},          // near-equal pair, half-ulp ties
-      {1.0 / 3.0, 2.0 / 3.0, 1.0 / 7.0}};  // non-dyadic steps
-  const SimSeconds seeds[] = {0.0, 1e-9, 0.75, 1.0, 12345.678};
-  const std::uint64_t counts[] = {0, 1, 2, 7, 1000, 250000};
-  for (const auto& deltas : cycles) {
-    for (SimSeconds seed : seeds) {
-      for (std::uint64_t n : counts) {
-        const SimSeconds expect = LiteralLoop(seed, deltas, n);
-        const SimSeconds got = IteratedAddCycle(seed, deltas, n);
-        EXPECT_EQ(expect, got) << "seed=" << seed << " n=" << n
-                               << " deltas[0]=" << deltas[0];
-      }
-    }
-  }
-}
-
-TEST(ClosedFormTest, MatchesLiteralLoopOnRandomizedInputs) {
-  Rng rng(20260808);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<SimSeconds> deltas(1 + rng.NextBelow(4));
-    for (SimSeconds& d : deltas) {
-      // Durations spanning ~9 orders of magnitude, as chunk costs do.
-      d = 1e-9 * static_cast<double>(1 + rng.NextBelow(1000000000ull));
-    }
-    const SimSeconds seed = 1e-6 * static_cast<double>(rng.NextBelow(1000000000ull));
-    const std::uint64_t n = rng.NextBelow(100000);
-    const SimSeconds expect = LiteralLoop(seed, deltas, n);
-    const SimSeconds got = IteratedAddCycle(seed, deltas, n);
-    EXPECT_EQ(expect, got) << "trial=" << trial << " seed=" << seed << " n=" << n;
-  }
-}
-
-TEST(ClosedFormTest, SingleDeltaConvenienceAgrees) {
-  EXPECT_EQ(LiteralLoop(0.0, std::span<const SimSeconds>(), 5), 0.0);
-  const SimSeconds d = 2.00000000001e-3;
-  SimSeconds acc = 0.4;
-  for (int i = 0; i < 1000; ++i) acc += d;
-  EXPECT_EQ(acc, IteratedAdd(0.4, d, 1000));
-  // Non-finite and negative inputs take the literal-loop fallback and must
-  // still agree with it.
-  const SimSeconds neg[] = {-0.25, 1.0};
-  EXPECT_EQ(LiteralLoop(1.0, neg, 31), IteratedAddCycle(1.0, neg, 31));
 }
 
 }  // namespace
