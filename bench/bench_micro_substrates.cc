@@ -7,7 +7,8 @@
 ///
 /// After the google-benchmark run, main() times a fixed build+probe workload
 /// on both table substrates and records tuples/sec plus the flat-vs-multimap
-/// speedup into BENCH_joins.json.
+/// speedup into BENCH_joins.json, then the probe sweep of the flat table
+/// against its per-record reference (tests/scalar_join_table.h).
 
 #include <benchmark/benchmark.h>
 
@@ -24,7 +25,6 @@
 #include "hash/hasher.h"
 #include "join/flat_table.h"
 #include "join/join_output.h"
-#include "join/simd.h"
 #include "relation/block.h"
 #include "relation/generator.h"
 #include "relation/tuple.h"
@@ -34,6 +34,7 @@
 #include "tape/tape_drive.h"
 #include "tape/tape_volume.h"
 #include "tests/legacy_table.h"
+#include "tests/scalar_join_table.h"
 
 namespace tertio {
 namespace {
@@ -98,7 +99,7 @@ const TableWorkload& JoinTableWorkload() {
   return workload;
 }
 
-// ---- Scalar-vs-SIMD probe sweep --------------------------------------------
+// ---- Reference-vs-production probe sweep ----------------------------------
 
 /// One point of the probe sweep: key distribution, record width, and probe
 /// selectivity (probe keys draw from `domain_multiplier * build_tuples`, so
@@ -170,12 +171,10 @@ struct ProbeModeResult {
   std::uint64_t checksum = 0;
 };
 
-/// Builds once and times `reps` probe passes under `level`, keeping the
-/// best. Build and probe both run at `level`; the dispatch level is restored
-/// before returning.
-ProbeModeResult TimedProbe(const TableWorkload& w, join::simd::Level level, int reps) {
-  join::simd::SetLevelForTest(level);
-  join::FlatJoinTable table(&w.schema, 0, /*build_is_r=*/true);
+/// Builds a `Table` once and times `reps` probe passes, keeping the best.
+template <typename Table>
+ProbeModeResult TimedProbe(const TableWorkload& w, int reps) {
+  Table table(&w.schema, 0, /*build_is_r=*/true);
   TERTIO_CHECK(table.AddBlocks(w.build_blocks).ok(), "build failed");
   ProbeModeResult best;
   best.seconds = std::numeric_limits<double>::infinity();
@@ -189,30 +188,32 @@ ProbeModeResult TimedProbe(const TableWorkload& w, join::simd::Level level, int 
     best.tuples = out.tuples();
     best.checksum = out.checksum();
   }
-  join::simd::ResetLevelForTest();
   return best;
 }
 
+/// Probe pass over one sweep case: `Table` is the production FlatJoinTable
+/// or the per-record ScalarJoinTable reference.
+template <typename Table>
 void BM_FlatTableProbeSweep(benchmark::State& state) {
   const int index = static_cast<int>(state.range(0));
   const TableWorkload& w = ProbeSweepWorkload(index);
-  const join::simd::Level level =
-      state.range(1) != 0 ? join::simd::BestSupportedLevel() : join::simd::Level::kScalar;
-  join::simd::SetLevelForTest(level);
-  join::FlatJoinTable table(&w.schema, 0, /*build_is_r=*/true);
+  Table table(&w.schema, 0, /*build_is_r=*/true);
   TERTIO_CHECK(table.AddBlocks(w.build_blocks).ok(), "build failed");
   for (auto _ : state) {
     join::JoinOutput out;
     TERTIO_CHECK(table.Probe(w.probe_blocks, &w.schema, 0, &out).ok(), "probe failed");
     benchmark::DoNotOptimize(out.checksum());
   }
-  join::simd::ResetLevelForTest();
   state.SetLabel(kProbeSweep[index].name);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * w.probe_tuples));
 }
-BENCHMARK(BM_FlatTableProbeSweep)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, kProbeSweepSize - 1, 1), {0, 1}})
-    ->ArgNames({"case", "simd"})
+BENCHMARK_TEMPLATE(BM_FlatTableProbeSweep, join::ScalarJoinTable)
+    ->DenseRange(0, kProbeSweepSize - 1)
+    ->ArgName("case")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_FlatTableProbeSweep, join::FlatJoinTable)
+    ->DenseRange(0, kProbeSweepSize - 1)
+    ->ArgName("case")
     ->Unit(benchmark::kMillisecond);
 
 template <typename Table>
@@ -498,17 +499,17 @@ int main(int argc, char** argv) {
   recorder.RecordMetric("multimap_build_probe_tuples_per_sec", tuples / legacy);
   recorder.RecordMetric("flat_vs_multimap_speedup", legacy / flat);
 
-  // Scalar-vs-SIMD probe sweep: for each sweep point, build once per mode
-  // and keep the best of 3 probe passes. The two modes must agree on the
-  // pair set (count + order-independent checksum) — a divergence here is a
-  // kernel bug, not a perf regression.
-  std::printf("\nFlat-table probe, scalar vs SIMD (best of 3):\n");
+  // Probe sweep, per-record reference (tests/scalar_join_table.h) vs the
+  // production table: for each sweep point, build each table once and keep
+  // the best of 3 probe passes. The two must agree on the pair set (count +
+  // order-independent checksum) — a divergence here is a kernel bug, not a
+  // perf regression.
+  std::printf("\nFlat-table probe, scalar reference vs SIMD (best of 3):\n");
   for (int i = 0; i < tertio::kProbeSweepSize; ++i) {
     const tertio::TableWorkload& w = tertio::ProbeSweepWorkload(i);
     const tertio::ProbeModeResult scalar =
-        tertio::TimedProbe(w, tertio::join::simd::Level::kScalar, 3);
-    const tertio::ProbeModeResult simd =
-        tertio::TimedProbe(w, tertio::join::simd::BestSupportedLevel(), 3);
+        tertio::TimedProbe<tertio::join::ScalarJoinTable>(w, 3);
+    const tertio::ProbeModeResult simd = tertio::TimedProbe<tertio::join::FlatJoinTable>(w, 3);
     TERTIO_CHECK(scalar.tuples == simd.tuples, "probe sweep diverged in match count");
     TERTIO_CHECK(scalar.checksum == simd.checksum, "probe sweep diverged in checksum");
     const double probes = static_cast<double>(w.probe_tuples);

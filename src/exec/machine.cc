@@ -2,47 +2,16 @@
 
 namespace tertio::exec {
 
-MachineConfig MachineConfig::PaperTestbed(ByteCount disk_space_bytes, ByteCount memory_bytes) {
-  MachineConfig config;
-  config.block_bytes = kDefaultBlockBytes;
-  config.tape_model = tape::TapeDriveModel::DLT4000();
-  config.disk_count = 2;
-  config.disk_model = disk::DiskModel::QuantumFireball1080();
-  config.disk_space_bytes = disk_space_bytes;
-  config.memory_bytes = memory_bytes;
-  return config;
-}
-
-SiteConfig MachineConfig::ToSiteConfig() const {
-  SiteConfig site;
-  site.block_bytes = block_bytes;
-  site.tape_model = tape_model;
-  site.drive_count = 2;
-  site.disk_count = disk_count;
-  site.disk_model = disk_model;
-  site.disk_space_bytes = disk_space_bytes;
-  site.memory_bytes = memory_bytes;
-  site.stripe_unit = stripe_unit;
-  site.with_library = with_library;
-  site.library_model = library_model;
-  site.faults = faults;
-  return site;
-}
-
-Status MachineConfig::Validate() const { return ToSiteConfig().Validate(); }
-
-Machine::Machine(const MachineConfig& config) : config_(config) {
-  Status valid = config.Validate();
-  TERTIO_CHECK(valid.ok(), "invalid machine configuration (call Validate() for the Status)");
-  site_ = std::make_unique<Site>(config.ToSiteConfig());
+Machine::Machine(const MachineConfig& config) : site_(std::make_unique<Site>(config)) {
   tape_r_ = std::make_unique<tape::TapeVolume>("tape-R", config.block_bytes);
   tape_s_ = std::make_unique<tape::TapeVolume>("tape-S", config.block_bytes);
-  // One session leasing everything: drives 0/1, all of M, all of D. Its
-  // budget and allocator then behave exactly like the seed Machine's own.
+  // One session leasing everything: drives 0/1, all of M, all of D that
+  // the extent cache (if any) leaves to sessions. Its budget and allocator
+  // then behave exactly like the seed Machine's own.
   SessionResources all;
   all.name = "main";
   all.memory_blocks = site_->memory_blocks();
-  all.disk_blocks = site_->disk_blocks();
+  all.disk_blocks = site_->session_disk_blocks();
   Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_.get(), all);
   TERTIO_CHECK(session.ok(), "whole-site session lease cannot fail on a fresh site");
   session_ = std::move(*session);

@@ -21,46 +21,18 @@
 
 namespace tertio::exec {
 
-/// Configuration of one machine.
-struct MachineConfig {
-  ByteCount block_bytes = kDefaultBlockBytes;
-  tape::TapeDriveModel tape_model = tape::TapeDriveModel::DLT4000();
-  int disk_count = 2;
-  disk::DiskModel disk_model = disk::DiskModel::QuantumFireball1080();
-  /// Total disk space D available to the join.
-  ByteCount disk_space_bytes = 500 * kMB;
-  /// Main memory M allocated to the join.
-  ByteCount memory_bytes = 16 * kMB;
-  BlockCount stripe_unit = 32;
-  /// Attach a robot library (media-exchange modeling) instead of
-  /// pre-loaded drives.
-  bool with_library = false;
-  tape::TapeLibraryModel library_model = tape::TapeLibraryModel::SmallAutoloader();
-  /// Fault model of the machine's devices (sim/fault.h). Disabled by
-  /// default: no injectors are created and device timings are bit-identical
-  /// to a fault-free build.
-  sim::FaultPlan faults;
-
-  /// The paper's testbed (Section 6): two DLT-4000 drives, two disks, with
-  /// the experiment's D and M.
-  static MachineConfig PaperTestbed(ByteCount disk_space_bytes, ByteCount memory_bytes);
-
-  /// Rejects configurations that would otherwise fail obscurely downstream
-  /// (non-positive disk_count, memory smaller than one block, zero
-  /// stripe_unit, ...). The Machine constructor aborts on a bad config; call
-  /// this first to get a Status instead.
-  Status Validate() const;
-
-  /// The equivalent two-drive site configuration.
-  SiteConfig ToSiteConfig() const;
-};
+/// Configuration of one machine: a site configuration whose whole site is
+/// leased to one session (two drives, all of M, all session-usable D).
+/// Build one with SiteConfig::PaperTestbed; SiteConfig::Validate rejects the
+/// configurations the Machine constructor would abort on.
+using MachineConfig = SiteConfig;
 
 /// One simulated system.
 class Machine {
  public:
   explicit Machine(const MachineConfig& config);
 
-  const MachineConfig& config() const { return config_; }
+  const MachineConfig& config() const { return site_->config(); }
   Site& site() { return *site_; }
   QuerySession& session() { return *session_; }
   sim::Simulation& sim() { return site_->sim(); }
@@ -72,7 +44,7 @@ class Machine {
   tape::TapeVolume& tape_s() { return *tape_s_; }
   tape::TapeLibrary* library() { return site_->library(); }
 
-  ByteCount block_bytes() const { return config_.block_bytes; }
+  ByteCount block_bytes() const { return site_->block_bytes(); }
   BlockCount memory_blocks() const { return session_->memory().total_blocks(); }
   BlockCount disk_blocks() const { return session_->disks().allocator().capacity_blocks(); }
 
@@ -85,14 +57,14 @@ class Machine {
 
   /// Effective tape rate (bytes/s) for data of the given compressibility.
   BytesPerSecond EffectiveTapeRate(double compressibility) const {
-    return config_.tape_model.EffectiveRate(compressibility);
+    return site_->EffectiveTapeRate(compressibility);
   }
 
   /// Aggregate disk rate X_D (bytes/s).
   BytesPerSecond AggregateDiskRate() const { return site_->AggregateDiskRate(); }
 
   /// Whether this machine injects faults.
-  bool faults_enabled() const { return config_.faults.enabled(); }
+  bool faults_enabled() const { return site_->faults_enabled(); }
 
   /// Machine-wide fault/recovery counters (zero with faults disabled).
   sim::FaultStats TotalFaultStats() const { return site_->TotalFaultStats(); }
@@ -109,7 +81,6 @@ class Machine {
  private:
   void BindAuditor(sim::Auditor* auditor);
 
-  MachineConfig config_;
   std::unique_ptr<Site> site_;
   std::unique_ptr<tape::TapeVolume> tape_r_;
   std::unique_ptr<tape::TapeVolume> tape_s_;

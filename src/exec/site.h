@@ -54,6 +54,16 @@ struct SiteConfig {
   /// Fault model of the site's devices (sim/fault.h).
   sim::FaultPlan faults;
 
+  /// The paper's testbed (Section 6) — two DLT-4000 drives, two Quantum
+  /// Fireball disks, 8 KiB blocks, i.e. the defaults above — with the
+  /// experiment's D and M.
+  static SiteConfig PaperTestbed(ByteCount disk_space_bytes, ByteCount memory_bytes) {
+    SiteConfig config;
+    config.disk_space_bytes = disk_space_bytes;
+    config.memory_bytes = memory_bytes;
+    return config;
+  }
+
   /// Rejects configurations that would otherwise fail obscurely downstream:
   /// non-positive disk/drive counts, a memory budget smaller than one
   /// block, a zero stripe unit or block size, disk space below one block.
@@ -62,11 +72,11 @@ struct SiteConfig {
 
 class Site;
 
-/// RAII lease over a set of tape drives. The only sanctioned way to take
-/// drives out of the Site pool (tertio_lint flags raw AcquireDrives calls
-/// outside src/exec): error paths that unwind a half-built session release
-/// their drives through the guard's destructor, so no admission failure can
-/// leak a drive. Movable, not copyable.
+/// RAII lease over a set of tape drives. The only way to take drives out
+/// of the Site pool (tertio_lint flags LeaseDrives calls outside src/exec):
+/// error paths that unwind a half-built session release their drives
+/// through the guard's destructor, so no admission failure can leak a
+/// drive. Movable, not copyable.
 class DriveLease {
  public:
   DriveLease() = default;
@@ -141,10 +151,6 @@ class Site {
   Result<DriveLease> LeaseDrives(int n, std::string_view holder,
                                  const std::vector<int>& preferred = {});
 
-  /// Raw (non-RAII) lease of the lowest-indexed `n` free drives. Prefer
-  /// LeaseDrives; tertio_lint flags calls to this outside src/exec.
-  Result<std::vector<int>> AcquireDrives(int n);
-  void ReleaseDrives(const std::vector<int>& indices);
   int free_drives() const;
   bool drive_leased(int i) const {
     return i >= 0 && i < drive_count() && drive_leased_[static_cast<size_t>(i)];
@@ -174,11 +180,9 @@ class Site {
 
   void BindAuditor(sim::Auditor* auditor);
 
-  /// Marks `n` drives leased (preferred first, then lowest-indexed) and
+  /// Returns a lease's drives to the pool (DriveLease::Release only) and
   /// reports each to the auditor's lease ledger under `holder`.
-  Result<std::vector<int>> PickDrives(int n, std::string_view holder,
-                                      const std::vector<int>& preferred);
-  void ReleaseDrivesTagged(const std::vector<int>& indices, std::string_view holder);
+  void ReleaseDrives(const std::vector<int>& indices, std::string_view holder);
 
   SiteConfig config_;
   sim::Simulation sim_;

@@ -14,11 +14,11 @@ namespace tertio::join {
 namespace {
 
 /// Slots ahead of the current record whose cache lines are prefetched
-/// (the scalar kernels' lookahead ring, and the batched probe's second
-/// pipeline stage: filter test + conditional slot prefetch).
+/// (the build's lookahead ring, and the probe's second pipeline stage:
+/// filter test + conditional slot prefetch).
 constexpr std::size_t kPrefetchDistance = 8;
 
-/// First pipeline stage of the batched probe: records are digested this far
+/// First pipeline stage of the probe: records are digested this far
 /// ahead and their Bloom filter word is prefetched. The filter is a few
 /// percent of the table and mostly cache-resident, so a short extra lead
 /// over kPrefetchDistance is enough to have the word loaded by test time.
@@ -91,147 +91,12 @@ void FlatJoinTable::Clear() {
 }
 
 Status FlatJoinTable::AddBlocks(std::span<const BlockPayload> blocks) {
-  if (simd::ActiveLevel() == simd::Level::kScalar) return AddBlocksScalar(blocks);
-  return AddBlocksBatched(blocks);
-}
-
-Status FlatJoinTable::Probe(std::span<const BlockPayload> blocks,
-                            const rel::Schema* probe_schema, std::size_t probe_key_column,
-                            JoinOutput* out) const {
-  if (simd::ActiveLevel() == simd::Level::kScalar) {
-    return ProbeScalar(blocks, probe_schema, probe_key_column, out);
-  }
-  return ProbeBatched(blocks, probe_schema, probe_key_column, out);
-}
-
-Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
-  // One reservation for the whole batch (block headers are cheap to parse
-  // twice): no rehash can happen mid-insert, so the prefetched slot
-  // addresses below stay valid, and a chunk-sized batch grows the slot
-  // array once instead of once per doubling.
-  std::uint64_t incoming = 0;
-  for (const BlockPayload& payload : blocks) {
-    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, build_schema_));
-    incoming += reader.record_count();
-  }
-  Reserve(size_ + incoming);
-  const std::size_t key_offset = build_schema_->offset(build_key_);
-  for (const BlockPayload& payload : blocks) {
-    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, build_schema_));
-    const std::uint64_t n = reader.record_count();
-    if (n == 0) continue;
-
-    // Software-prefetch pipeline: digests run kPrefetchDistance records
-    // ahead of the inserts, so the slot line of record i is (usually) in
-    // cache by the time its insert scan starts.
-    std::uint64_t digests[kPrefetchDistance];
-    const std::uint64_t lead = std::min<std::uint64_t>(n, kPrefetchDistance);
-    for (std::uint64_t i = 0; i < lead; ++i) {
-      std::uint64_t digest = DigestOf(KeyAt(reader.record(i), key_offset));
-      digests[i % kPrefetchDistance] = digest;
-      PrefetchWrite(&slots_[static_cast<std::size_t>(digest) & mask_]);
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // Read the current record's digest out of the ring before the
-      // lookahead below reuses the same ring position (i + D ≡ i mod D).
-      const std::uint64_t current_digest = digests[i % kPrefetchDistance];
-      if (i + kPrefetchDistance < n) {
-        std::uint64_t digest = DigestOf(KeyAt(reader.record(i + kPrefetchDistance), key_offset));
-        digests[i % kPrefetchDistance] = digest;
-        PrefetchWrite(&slots_[static_cast<std::size_t>(digest) & mask_]);
-      }
-      const std::span<const std::uint8_t> bytes = reader.record(i);
-      Slot slot;
-      slot.digest = current_digest;
-      slot.key = KeyAt(bytes, key_offset);
-      slot.record_digest = HashBytes(bytes);
-      if (capture_records_) {
-        if (arena_.size() + bytes.size() >
-            static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
-          return Status::ResourceExhausted("flat table arena exceeds 4 GiB of build records");
-        }
-        slot.record_offset = static_cast<std::uint32_t>(arena_.size());
-        slot.record_length = static_cast<std::uint32_t>(bytes.size());
-        arena_.insert(arena_.end(), bytes.begin(), bytes.end());
-      }
-      InsertSlot(slot);
-      ++size_;
-    }
-  }
-  return Status::OK();
-}
-
-Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
-                                  const rel::Schema* probe_schema,
-                                  std::size_t probe_key_column, JoinOutput* out) const {
-  if (size_ == 0) return Status::OK();
-  const bool pipeline = capture_records_ && out->has_sink();
-  const std::size_t key_offset = probe_schema->offset(probe_key_column);
-  for (const BlockPayload& payload : blocks) {
-    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, probe_schema));
-    const std::uint64_t n = reader.record_count();
-    std::uint64_t digests[kPrefetchDistance];
-    const std::uint64_t lead = std::min<std::uint64_t>(n, kPrefetchDistance);
-    for (std::uint64_t i = 0; i < lead; ++i) {
-      std::uint64_t digest = DigestOf(KeyAt(reader.record(i), key_offset));
-      digests[i % kPrefetchDistance] = digest;
-      PrefetchRead(&slots_[static_cast<std::size_t>(digest) & mask_]);
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // Read before the lookahead reuses this ring position (i + D ≡ i).
-      const std::uint64_t digest = digests[i % kPrefetchDistance];
-      if (i + kPrefetchDistance < n) {
-        std::uint64_t ahead_digest =
-            DigestOf(KeyAt(reader.record(i + kPrefetchDistance), key_offset));
-        digests[i % kPrefetchDistance] = ahead_digest;
-        PrefetchRead(&slots_[static_cast<std::size_t>(ahead_digest) & mask_]);
-      }
-      rel::Tuple tuple(reader.record(i), probe_schema);
-      const std::int64_t key = KeyAt(tuple.bytes(), key_offset);
-      // The probe record's digest enters the pair checksum; computed lazily
-      // on the first match so unmatched probes cost one slot load only.
-      std::uint64_t probe_digest = 0;
-      bool have_probe_digest = false;
-      std::size_t idx = static_cast<std::size_t>(digest) & mask_;
-      while (slots_[idx].digest != 0) {
-        const Slot& slot = slots_[idx];
-        // Digest first, key bytes only on digest equality: an (injected)
-        // digest collision between unequal keys falls through to the key
-        // compare and is rejected there.
-        if (slot.digest == digest && slot.key == key) {
-          if (!have_probe_digest) {
-            probe_digest = HashBytes(tuple.bytes());
-            have_probe_digest = true;
-          }
-          if (pipeline) {
-            rel::Tuple build_tuple(
-                std::span<const std::uint8_t>(arena_.data() + slot.record_offset,
-                                              slot.record_length),
-                build_schema_);
-            const rel::Tuple& r = build_is_r_ ? build_tuple : tuple;
-            const rel::Tuple& s = build_is_r_ ? tuple : build_tuple;
-            TERTIO_RETURN_IF_ERROR(out->AddMatchWithRows(slot.key, r, s));
-          } else if (build_is_r_) {
-            out->AddMatch(slot.key, slot.record_digest, probe_digest);
-          } else {
-            out->AddMatch(slot.key, probe_digest, slot.record_digest);
-          }
-        }
-        idx = (idx + 1) & mask_;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
   static_assert(sizeof(Slot) == 4 * sizeof(std::uint64_t), "group compares assume 32-byte slots");
   static_assert(offsetof(Slot, digest) == 0, "group compares read word 0 as the digest");
-  // Same up-front reservation as the scalar path: no rehash mid-insert, so
-  // the word view and prefetched lines below stay valid for the whole batch.
+  // One reservation for the whole batch (block headers are cheap to parse
+  // twice): no rehash can happen mid-insert, so the word view and the
+  // prefetched lines below stay valid, and a chunk-sized batch grows the
+  // slot array once instead of once per doubling.
   std::uint64_t incoming = 0;
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
@@ -239,7 +104,6 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
     incoming += reader.record_count();
   }
   Reserve(size_ + incoming);
-  const simd::Level level = simd::ActiveLevel();
   constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
   const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
   const std::size_t capacity = slots_.size();
@@ -249,10 +113,10 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
                             rel::BlockReader::Open(payload, build_schema_));
     const std::uint64_t n = reader.record_count();
     if (n == 0) continue;
-    // Same paced prefetch ring as the scalar path (one prefetch issued per
-    // record keeps the miss queue from overflowing, which a burst of a whole
-    // batch's prefetches does not); the insert scan itself runs the SIMD
-    // group-of-four empty-slot search.
+    // Paced prefetch ring: digests run kPrefetchDistance records ahead of
+    // the inserts, one prefetch issued per record (which keeps the miss
+    // queue from overflowing, as a burst of a whole batch's prefetches does
+    // not); the insert scan itself runs the group-of-four empty-slot search.
     std::uint64_t digests[kPrefetchDistance];
     std::int64_t keys[kPrefetchDistance];
     auto stage = [&](BlockCount j) {
@@ -286,8 +150,9 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
       // Empty-slot scan: the home slot is free for most inserts below the
       // 0.7 load ceiling, so test it with one scalar load and fall back to
       // group-of-four scans only when a cluster has to be crossed. The
-      // first empty slot found is the same slot the scalar InsertSlot walk
-      // lands on, so the two kernels build bit-identical tables.
+      // first empty slot found is the one InsertSlot's per-slot walk (the
+      // Rehash path) lands on, so placement does not depend on which path
+      // inserted a slot.
       std::size_t idx = static_cast<std::size_t>(slot.digest) & mask_;
       if (slots_[idx].digest == 0) {
         slots_[idx] = slot;
@@ -298,7 +163,7 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
       for (;;) {
         if (idx + 4 <= capacity) {
           const simd::Group4 g =
-              simd::CompareDigests4(level, slot_words + idx * kStride, kStride, slot.digest);
+              simd::CompareDigests4(slot_words + idx * kStride, kStride, slot.digest);
           if (g.empty_mask != 0) {
             slots_[idx + static_cast<std::size_t>(std::countr_zero(g.empty_mask))] = slot;
             break;
@@ -320,11 +185,10 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
   return Status::OK();
 }
 
-Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
-                                   const rel::Schema* probe_schema,
-                                   std::size_t probe_key_column, JoinOutput* out) const {
+Status FlatJoinTable::Probe(std::span<const BlockPayload> blocks,
+                            const rel::Schema* probe_schema, std::size_t probe_key_column,
+                            JoinOutput* out) const {
   if (size_ == 0) return Status::OK();
-  const simd::Level level = simd::ActiveLevel();
   const bool pipeline = capture_records_ && out->has_sink();
   constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
   const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
@@ -372,8 +236,8 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
       if (i + kPrefetchDistance < n) stage_filter(i + kPrefetchDistance);
       if (!walk) continue;
       rel::Tuple tuple(reader.record(i), probe_schema);
-      // Lazy probe digest, as in the scalar walk: unmatched probes never
-      // hash their record bytes.
+      // The probe record's digest enters the pair checksum; computed lazily
+      // on the first match, so unmatched probes never hash their bytes.
       std::uint64_t probe_digest = 0;
       bool have_probe_digest = false;
       auto emit = [&](const Slot& slot) -> Status {
@@ -402,7 +266,7 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
       while (open) {
         if (idx + 4 <= capacity) {
           const simd::Group4 g =
-              simd::CompareDigests4(level, slot_words + idx * kStride, kStride, digest);
+              simd::CompareDigests4(slot_words + idx * kStride, kStride, digest);
           std::uint32_t matches = g.match_mask;
           if (g.empty_mask != 0) {
             // The chain ends at the first empty slot; digests equal to the
@@ -416,7 +280,7 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
             matches &= matches - 1;
             // Digest first, key bytes only on digest equality — an
             // (injected) digest collision between unequal keys is
-            // rejected here, exactly as in the scalar walk.
+            // rejected here.
             if (slot.key != key) continue;
             TERTIO_RETURN_IF_ERROR(emit(slot));
           }

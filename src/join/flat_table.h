@@ -17,16 +17,15 @@
 /// never produces a match (see FlatTableDigestCollision in
 /// tests/join_correctness_test.cc).
 ///
-/// Two kernel generations coexist behind a runtime dispatch (join/simd.h):
-/// the original per-record loops (the forced-scalar reference, selected with
-/// TERTIO_SIMD=scalar or simd::SetLevelForTest) and a batched kernel built
-/// as a two-stage software pipeline. Stage one digests records a full filter
-/// distance ahead and prefetches their blocked-Bloom filter word; stage two
-/// tests the filter half a ring later and prefetches the slot line only for
-/// digests that may be present. Probes the filter rejects — the common case
-/// for selective joins — never touch the slot array at all; survivors walk
-/// their chain with SSE2/NEON group-of-four digest compares. Both kernels
-/// emit the identical match sequence (tests/flat_table_simd_test.cc).
+/// The probe is a two-stage software pipeline. Stage one digests records a
+/// full filter distance ahead and prefetches their blocked-Bloom filter
+/// word; stage two tests the filter half a ring later and prefetches the
+/// slot line only for digests that may be present. Probes the filter
+/// rejects — the common case for selective joins — never touch the slot
+/// array at all; survivors walk their chain with group-of-four digest
+/// compares (join/simd.h, SSE2/NEON picked at compile time). The table
+/// emits the same pair set as the per-record reference table in
+/// tests/scalar_join_table.h (tests/flat_table_simd_test.cc).
 
 #include <cstdint>
 #include <span>
@@ -105,19 +104,6 @@ class FlatJoinTable {
   void Rehash(std::size_t new_capacity);
   void InsertSlot(const Slot& slot);
 
-  /// The original per-record loops — the reference semantics the batched
-  /// kernels must reproduce exactly, and the baseline of the probe_* bench
-  /// speedup metrics.
-  Status AddBlocksScalar(std::span<const BlockPayload> blocks);
-  Status ProbeScalar(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
-                     std::size_t probe_key_column, JoinOutput* out) const;
-
-  /// Batched kernels: two-stage digest/filter pipeline + SIMD group-of-four
-  /// slot compares (join/simd.h).
-  Status AddBlocksBatched(std::span<const BlockPayload> blocks);
-  Status ProbeBatched(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
-                      std::size_t probe_key_column, JoinOutput* out) const;
-
   /// Blocked Bloom prefilter over the stored digests: one 64-bit filter word
   /// per eight slots, four bits per key, all drawn from digest bits the slot
   /// index (low bits) does not use. Every insert path sets the bits, so a
@@ -145,7 +131,7 @@ class FlatJoinTable {
   /// Power-of-two size, linear probing. Hugepage-backed above 2 MiB: paper-
   /// scale tables have page working sets far beyond the dTLB on 4 KiB pages,
   /// and x86 drops prefetches that miss the dTLB — THP backing is what makes
-  /// both kernels' prefetch pipelines effective (util/hugepage.h).
+  /// the build and probe prefetch pipelines effective (util/hugepage.h).
   std::vector<Slot, util::HugePageAllocator<Slot>> slots_;
   std::size_t mask_ = 0;
   /// One filter word per eight slots (3% of the table), kept in lockstep

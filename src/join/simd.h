@@ -4,18 +4,18 @@
 /// Vectorized slot-group compares for the flat join table.
 ///
 /// This is the only file in the repository allowed to contain raw SIMD
-/// intrinsics (tertio_lint rule `simd-intrinsics` pins that boundary). The
-/// rest of the join layer sees three portable operations over a group of
-/// four consecutive table slots:
+/// intrinsics (tertio_lint rule `simd` pins that boundary). The rest of the
+/// join layer sees one portable operation over a group of four consecutive
+/// table slots:
 ///
 ///   CompareDigests4  — which of the four slot digests equal a probe digest,
 ///                      and which slots are empty (digest == 0)?
-///   FindEmpty4       — which of the four slots are empty? (insert scans)
 ///
-/// Both return little bitmasks (bit j = slot j), so the callers' chain-walk
-/// logic is identical across instruction sets and the scalar fallback —
-/// the equivalence tests in tests/flat_table_simd_test.cc hold the SIMD
-/// paths to bit-identical outputs against the forced-scalar reference.
+/// It returns little bitmasks (bit j = slot j), so the callers' chain-walk
+/// logic is identical across instruction sets. tests/flat_table_simd_test.cc
+/// holds every implementation to the portable CompareDigests4Scalar, and the
+/// table built on it to the per-record reference table in
+/// tests/scalar_join_table.h.
 ///
 /// The table's slots are 32 bytes (four std::uint64_t words) with the digest
 /// in word 0, so consecutive digests sit one `stride_words` apart; SSE2 has
@@ -23,96 +23,22 @@
 /// scalar loads (the compare, movemask, and branch-free mask logic are where
 /// the vector units earn their keep, not the loads).
 ///
-/// Instruction-set selection is runtime-dispatched: the baseline presets
-/// compile with no -march assumptions, SSE2 is architectural on x86_64 and
-/// NEON on AArch64, so the "best" level needs no compiler flags. Override
-/// with the environment variable TERTIO_SIMD=scalar|native (the forced-
-/// scalar CI job) or SetLevelForTest from tests.
+/// The instruction set is chosen at compile time: SSE2 is architectural on
+/// x86_64 and NEON on AArch64, so the baseline presets need no -march flags;
+/// any other target compiles the portable kernel.
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
-#define TERTIO_SIMD_SSE2 1
+#define TERTIO_HAVE_SSE2 1
 #include <emmintrin.h>
 #elif defined(__aarch64__)
-#define TERTIO_SIMD_NEON 1
+#define TERTIO_HAVE_NEON 1
 #include <arm_neon.h>
 #endif
 
 namespace tertio::join::simd {
-
-enum class Level : int {
-  kScalar = 0,  ///< reference path: the original per-slot probe loop
-  kSse2 = 1,    ///< x86-64 baseline (no SSE4.1 assumption)
-  kNeon = 2,    ///< AArch64 baseline
-};
-
-/// Best level the build target architecturally guarantees (no CPUID needed:
-/// SSE2 and NEON are baseline on their respective 64-bit ISAs).
-constexpr Level BestSupportedLevel() {
-#if defined(TERTIO_SIMD_SSE2)
-  return Level::kSse2;
-#elif defined(TERTIO_SIMD_NEON)
-  return Level::kNeon;
-#else
-  return Level::kScalar;
-#endif
-}
-
-constexpr const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
-    case Level::kNeon: return "neon";
-  }
-  return "unknown";
-}
-
-namespace internal {
-
-/// -1 = uninitialized; otherwise holds a Level. Process-wide, so one env
-/// read serves every table.
-inline std::atomic<int>& LevelCell() {
-  static std::atomic<int> cell{-1};
-  return cell;
-}
-
-inline Level ResolveFromEnvironment() {
-  const char* env = std::getenv("TERTIO_SIMD");
-  if (env != nullptr && std::strcmp(env, "scalar") == 0) return Level::kScalar;
-  // Any other value (including "native" and unset) takes the best level the
-  // target guarantees; requesting an ISA the binary was not built for cannot
-  // be honored, so there is no way to over-promise.
-  return BestSupportedLevel();
-}
-
-}  // namespace internal
-
-/// The dispatch level in effect for every FlatJoinTable in the process.
-inline Level ActiveLevel() {
-  int cached = internal::LevelCell().load(std::memory_order_relaxed);
-  if (cached < 0) {
-    cached = static_cast<int>(internal::ResolveFromEnvironment());
-    internal::LevelCell().store(cached, std::memory_order_relaxed);
-  }
-  return static_cast<Level>(cached);
-}
-
-/// Test hook: force a dispatch level (clamped to the build target's best).
-/// Tests restore the default by calling ResetLevelForTest.
-inline void SetLevelForTest(Level level) {
-  if (static_cast<int>(level) > static_cast<int>(BestSupportedLevel())) {
-    level = BestSupportedLevel();
-  }
-  internal::LevelCell().store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-inline void ResetLevelForTest() {
-  internal::LevelCell().store(-1, std::memory_order_relaxed);
-}
 
 /// Result of one group-of-four digest compare. Bit j (j in 0..3) refers to
 /// the slot at `slot_digests + j * stride_words`.
@@ -121,9 +47,8 @@ struct Group4 {
   std::uint32_t empty_mask = 0;  ///< slot digest == 0 (open-addressing end)
 };
 
-/// Portable reference kernel — also the forced-scalar path's group compare
-/// in code that is structured around groups (the scalar *probe loop* in
-/// flat_table.cc does not call this; it keeps the original per-slot walk).
+/// Portable kernel: the only implementation on ISAs without SSE2 or NEON,
+/// and the oracle the vector kernels are tested against.
 inline Group4 CompareDigests4Scalar(const std::uint64_t* slot_digests,
                                     std::size_t stride_words, std::uint64_t digest) {
   Group4 g;
@@ -135,7 +60,7 @@ inline Group4 CompareDigests4Scalar(const std::uint64_t* slot_digests,
   return g;
 }
 
-#if defined(TERTIO_SIMD_SSE2)
+#if defined(TERTIO_HAVE_SSE2)
 
 namespace internal {
 
@@ -179,9 +104,9 @@ inline Group4 CompareDigests4Sse2(const std::uint64_t* slot_digests,
   return g;
 }
 
-#endif  // TERTIO_SIMD_SSE2
+#endif  // TERTIO_HAVE_SSE2
 
-#if defined(TERTIO_SIMD_NEON)
+#if defined(TERTIO_HAVE_NEON)
 
 namespace internal {
 
@@ -210,24 +135,18 @@ inline Group4 CompareDigests4Neon(const std::uint64_t* slot_digests,
   return g;
 }
 
-#endif  // TERTIO_SIMD_NEON
+#endif  // TERTIO_HAVE_NEON
 
-/// Group compare at the given dispatch level. Callers hoist ActiveLevel()
-/// out of their loops; the switch then predicts perfectly.
-inline Group4 CompareDigests4(Level level, const std::uint64_t* slot_digests,
-                              std::size_t stride_words, std::uint64_t digest) {
-  switch (level) {
-#if defined(TERTIO_SIMD_SSE2)
-    case Level::kSse2:
-      return CompareDigests4Sse2(slot_digests, stride_words, digest);
+/// Group compare with the best kernel the build target guarantees.
+inline Group4 CompareDigests4(const std::uint64_t* slot_digests, std::size_t stride_words,
+                              std::uint64_t digest) {
+#if defined(TERTIO_HAVE_SSE2)
+  return CompareDigests4Sse2(slot_digests, stride_words, digest);
+#elif defined(TERTIO_HAVE_NEON)
+  return CompareDigests4Neon(slot_digests, stride_words, digest);
+#else
+  return CompareDigests4Scalar(slot_digests, stride_words, digest);
 #endif
-#if defined(TERTIO_SIMD_NEON)
-    case Level::kNeon:
-      return CompareDigests4Neon(slot_digests, stride_words, digest);
-#endif
-    default:
-      return CompareDigests4Scalar(slot_digests, stride_words, digest);
-  }
 }
 
 }  // namespace tertio::join::simd

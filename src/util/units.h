@@ -52,6 +52,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <type_traits>
 
@@ -167,7 +168,19 @@ class Quantity {
   friend constexpr bool operator==(Quantity, Quantity) = default;
   friend constexpr auto operator<=>(Quantity, Quantity) = default;
 
-  friend std::ostream& operator<<(std::ostream& os, Quantity q) { return os << q.v_; }
+  /// Floating reps print at max_digits10, so the text round-trips to the
+  /// same value (test failure messages and trace CSVs show ulp-level
+  /// differences); the stream's precision is restored afterwards.
+  friend std::ostream& operator<<(std::ostream& os, Quantity q) {
+    if constexpr (std::is_floating_point_v<Rep>) {
+      const std::streamsize precision = os.precision(std::numeric_limits<Rep>::max_digits10);
+      os << q.v_;
+      os.precision(precision);
+      return os;
+    } else {
+      return os << q.v_;
+    }
+  }
 
  private:
   Rep v_;

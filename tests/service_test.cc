@@ -127,8 +127,7 @@ TEST(ServiceBitIdentityTest, AllSevenMethodsMatchTheLegacyMachinePath) {
     auto machine_stats = join::CreateJoinMethod(method)->Execute(machine_spec, machine_ctx);
     ASSERT_TRUE(machine_stats.ok()) << JoinMethodName(method) << ": " << machine_stats.status();
 
-    SiteConfig site_config = machine_config.ToSiteConfig();
-    auto site = Site::Create(site_config);
+    auto site = Site::Create(machine_config);
     ASSERT_TRUE(site.ok()) << site.status();
     (*site)->EnableAudit();
     SessionResources all;
@@ -136,7 +135,7 @@ TEST(ServiceBitIdentityTest, AllSevenMethodsMatchTheLegacyMachinePath) {
     all.disk_blocks = (*site)->disk_blocks();
     auto session = QuerySession::Open(site->get(), all);
     ASSERT_TRUE(session.ok()) << session.status();
-    LooseWorkload loose = GenerateLoose(site_config.block_bytes, workload);
+    LooseWorkload loose = GenerateLoose(machine_config.block_bytes, workload);
     (*session)->ForceMount(loose.tape_r.get(), loose.tape_s.get());
     join::JoinSpec site_spec;
     site_spec.r = &loose.r;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/interval.h"
@@ -150,6 +152,25 @@ TEST(TraceReportTest, CsvListsEveryOp) {
   EXPECT_NE(csv.find("resource,tag,start,end,bytes"), std::string::npos);
   EXPECT_NE(csv.find("dev,a,0,1,100"), std::string::npos);
   EXPECT_NE(csv.find("dev,b,1,3,200"), std::string::npos);
+}
+
+TEST(TraceReportTest, CsvTimesRoundTripExactly) {
+  Simulation sim;
+  Resource* r = sim.CreateResource("dev");
+  r->EnableTrace();
+  const SimSeconds start(123456.789);
+  r->Schedule(start, 0.25, 100, "a");
+  std::ostringstream out;
+  out.precision(3);  // a caller's precision neither truncates nor is lost
+  WriteTraceCsv(sim, out);
+  EXPECT_EQ(out.precision(), 3);
+  const std::string csv = out.str();
+  const std::string prefix = "dev,a,";
+  const std::size_t at = csv.find(prefix);
+  ASSERT_NE(at, std::string::npos) << csv;
+  const std::size_t begin = at + prefix.size();
+  const std::string field = csv.substr(begin, csv.find(',', begin) - begin);
+  EXPECT_EQ(std::stod(field), start.value()) << field;
 }
 
 }  // namespace

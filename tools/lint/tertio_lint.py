@@ -337,8 +337,8 @@ def check_encapsulation(repo: Repo, findings: list[Finding]) -> None:
                 findings.append(Finding(
                     src.path, idx + 1, "simd",
                     "raw SIMD intrinsics outside src/join/simd.h; call the "
-                    "runtime-dispatched simd:: wrappers so forced-scalar runs "
-                    "stay bit-identical (or tertio-lint: allow(simd))"))
+                    "simd:: wrappers, which are tested against the portable "
+                    "kernel (or tertio-lint: allow(simd))"))
     for cmake in sorted(repo.root.rglob("CMakeLists.txt")):
         if "build" in cmake.relative_to(repo.root).parts:
             continue

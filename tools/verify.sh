@@ -4,7 +4,7 @@
 # TERTIO_WERROR=ON in the default preset, so a warning fails the build even
 # where clang-tidy is not installed), a bench smoke run that must produce
 # BENCH_joins.json, then the sanitizer passes — ASan+UBSan over the
-# fault/error-path, SimSan, cache and record-digest tests and TSan over the
+# fault/error-path, SimSan, cache, record-digest and join-kernel tests and TSan over the
 # parallel-sweep and query-service tests — so every recovery branch and every
 # thread interleaving those tests drive runs sanitizer-checked. The asan/tsan presets build with
 # TERTIO_SIMSAN=ON, so every test in those passes also runs under the
@@ -40,11 +40,6 @@ cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
 
-echo "== tier-1: forced-scalar ctest (TERTIO_SIMD=scalar) =="
-# The SIMD probe/build kernels must be pair-set-identical to the portable
-# scalar fallback; the whole suite reruns with dispatch pinned to scalar.
-TERTIO_SIMD=scalar ctest --preset default -j"$(nproc)"
-
 echo "== bench smoke: one parallel figure sweep must emit BENCH_joins.json =="
 SMOKE_JSON="$(mktemp -t bench_joins.XXXXXX.json)"
 rm -f "$SMOKE_JSON"
@@ -60,7 +55,7 @@ SMOKE_JSON="$(mktemp -t bench_joins.XXXXXX.json)"
 rm -f "$SMOKE_JSON"
 # --benchmark_filter matches nothing: the registered google-benchmark loops
 # are skipped and only main()'s headline metrics (probe sweep with in-bench
-# scalar/SIMD agreement checks, per-chunk transfer host cost) run.
+# reference/production agreement checks, per-chunk transfer host cost) run.
 TERTIO_BENCH_JSON="$SMOKE_JSON" ./build/bench/bench_micro_substrates \
   --benchmark_filter='^$' >/dev/null
 python3 - "$SMOKE_JSON" <<'EOF'
@@ -114,10 +109,10 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/digest tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/digest/kernel tests (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache|digest' -j"$(nproc)"
+ctest --preset asan -L 'faults|simsan|cache|digest|kernel' -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
