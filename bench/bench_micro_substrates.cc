@@ -8,7 +8,9 @@
 /// After the google-benchmark run, main() times a fixed build+probe workload
 /// on both table substrates and records tuples/sec plus the flat-vs-multimap
 /// speedup into BENCH_joins.json, then the probe sweep of the flat table
-/// against its per-record reference (tests/scalar_join_table.h).
+/// against its per-record reference (tests/scalar_join_table.h), then the
+/// host ns per chunk of Pipeline::Transfer: tape->memory at 10^5 chunks and
+/// disk extents->disk extents at 10^3 and 10^5 chunks.
 
 #include <benchmark/benchmark.h>
 
@@ -434,6 +436,54 @@ double TimedTransferSeconds(std::uint64_t chunks) {
   return seconds;
 }
 
+/// Disk stripe unit of the extent-transfer bench: half a chunk, so every
+/// chunk spans two extents on each side.
+constexpr BlockCount kTransferStripe = kTransferChunk / 2;
+
+/// Simulates one fault-free phantom disk->disk transfer of `chunks` chunks:
+/// an ExtentReadSource over one striped allocation feeding an
+/// ExtentWriteSink over another, with a SpanTrace attached (the per-chunk
+/// path of every disk-side join phase: extent slicing, two device requests
+/// per side, span aggregation). Returns the host seconds of the Transfer
+/// call itself.
+double TimedExtentTransferSeconds(std::uint64_t chunks) {
+  const BlockCount blocks = chunks * kTransferChunk;
+  sim::Simulation sim;
+  disk::StripedDiskGroup group(
+      disk::DiskGroupConfig::Uniform(4, disk::DiskModel::QuantumFireball1080(), 2 * blocks,
+                                     kBlock, kTransferStripe),
+      &sim);
+  Result<disk::ExtentList> from = group.allocator().Allocate(blocks, 0.0, "from");
+  Result<disk::ExtentList> to = group.allocator().Allocate(blocks, 0.0, "to");
+  TERTIO_CHECK(from.ok() && to.ok(), "allocation failed");
+  disk::ExtentReadSource source(&group, &*from);
+  disk::ExtentWriteSink sink(&group, &*to);
+  sim::SpanTrace trace;
+  sim::Pipeline pipe(0.0, &trace);
+  sim::Pipeline::TransferPlan plan;
+  plan.read_phase = "bench:read";
+  plan.write_phase = "bench:write";
+  plan.total = blocks;
+  plan.chunk = kTransferChunk;
+  plan.streaming = true;
+  auto start = std::chrono::steady_clock::now();
+  auto result = pipe.Transfer(plan, source, sink);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  TERTIO_CHECK(result.ok(), "extent transfer failed");
+  benchmark::DoNotOptimize(result->done);
+  return seconds;
+}
+
+/// Best-of-`reps` host ns per chunk of TimedExtentTransferSeconds(chunks).
+double ExtentTransferNsPerChunk(std::uint64_t chunks, int reps) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) {
+    best = std::min(best, TimedExtentTransferSeconds(chunks));
+  }
+  return 1e9 * best / static_cast<double>(chunks);
+}
+
 void BM_PipelineTransfer(benchmark::State& state) {
   const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -447,6 +497,19 @@ void BM_PipelineTransfer(benchmark::State& state) {
 BENCHMARK(BM_PipelineTransfer)
     ->Arg(1000)
     ->Arg(10000)
+    ->Arg(100000)
+    ->ArgName("chunks")
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PipelineExtentTransfer(benchmark::State& state) {
+  const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) state.SetIterationTime(TimedExtentTransferSeconds(chunks));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(chunks));
+}
+BENCHMARK(BM_PipelineExtentTransfer)
+    ->Arg(1000)
     ->Arg(100000)
     ->ArgName("chunks")
     ->UseManualTime()
@@ -536,5 +599,17 @@ int main(int argc, char** argv) {
               (unsigned long long)kChunks, 1e3 * transfer,
               1e9 * transfer / static_cast<double>(kChunks));
   recorder.RecordMetric("transfer_ns_per_chunk", 1e9 * transfer / static_cast<double>(kChunks));
+
+  // The same loop on the disk side (extent slicing + striped requests + a
+  // span trace), at 10^3 and 10^5 chunks. Per-chunk cost must not grow with
+  // the transfer's length: the 10^5 / 10^3 ratio is a linearity check that
+  // host speed does not move.
+  const double small = tertio::ExtentTransferNsPerChunk(1000, 9);
+  const double large = tertio::ExtentTransferNsPerChunk(kChunks, 3);
+  std::printf("Disk extent transfer (striped, span trace): %.0f ns/chunk at 10^3 chunks, "
+              "%.0f ns/chunk at 10^5 (ratio %.2f)\n",
+              small, large, large / small);
+  recorder.RecordMetric("transfer_extents_ns_per_chunk_1k", small);
+  recorder.RecordMetric("transfer_extents_ns_per_chunk_100k", large);
   return recorder.Finish();
 }

@@ -1,8 +1,18 @@
 #pragma once
 
 /// \file extent.h
-/// A contiguous run of blocks on one disk of a striped group.
+/// A contiguous run of blocks on one disk of a striped group, and the
+/// slicing of an extent list by logical block range.
+///
+/// Every chunk of a disk-side Transfer addresses blocks [offset,
+/// offset+count) of an allocation's logical sequence. ExtentCursor maps such
+/// a range to its extents without allocating: it remembers the extent the
+/// previous slice started in (its index and logical start) and refills one
+/// reused buffer, so a forward chunk sequence slices in amortised O(1) per
+/// chunk. A retry re-slices the same offset from the remembered extent; a
+/// backward offset (a checkpoint resume, a ring wrap) rescans from the head.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,10 +40,29 @@ inline BlockCount TotalBlocks(const ExtentList& extents) {
   return total;
 }
 
-/// \returns the sub-range of `extents` covering blocks
-/// [offset, offset + count) of the logical sequence they describe, or
-/// InvalidArgument when the requested range extends past the sequence —
-/// callers degrade gracefully instead of crashing the process.
+/// Allocation-free slicer over one extent list (see the file comment). The
+/// list must outlive the cursor; appending to it keeps the cursor valid,
+/// any other mutation needs a fresh cursor.
+class ExtentCursor {
+ public:
+  explicit ExtentCursor(const ExtentList* extents) : extents_(extents) {}
+
+  /// The sub-range of the list covering blocks [offset, offset + count) of
+  /// its logical sequence, or InvalidArgument when the range extends past
+  /// the sequence. The returned list is the cursor's buffer: valid until the
+  /// next Slice() call.
+  Result<const ExtentList*> Slice(BlockCount offset, BlockCount count);
+
+ private:
+  const ExtentList* extents_;
+  /// First extent the previous slice touched, and its logical start block.
+  std::size_t index_ = 0;
+  BlockCount index_start_ = 0;
+  ExtentList slice_;
+};
+
+/// One-shot ExtentCursor::Slice() into a fresh list — for callers slicing
+/// a list once.
 Result<ExtentList> SliceExtents(const ExtentList& extents, BlockCount offset, BlockCount count);
 
 }  // namespace tertio::disk

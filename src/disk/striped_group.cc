@@ -130,15 +130,15 @@ Result<sim::StageId> StripedDiskGroup::IssueWrite(sim::Pipeline& pipe, std::stri
 Result<sim::Interval> ExtentReadSource::Read(BlockCount offset, BlockCount count,
                                              SimSeconds ready,
                                              std::vector<BlockPayload>* out) {
-  TERTIO_ASSIGN_OR_RETURN(ExtentList slice, SliceExtents(*extents_, offset, count));
-  return group_->ReadExtents(slice, ready, out);
+  TERTIO_ASSIGN_OR_RETURN(const ExtentList* slice, cursor_.Slice(offset, count));
+  return group_->ReadExtents(*slice, ready, out);
 }
 
 Result<sim::Interval> ExtentWriteSink::Write(BlockCount offset, BlockCount count,
                                              SimSeconds ready,
                                              std::vector<BlockPayload>* payloads) {
-  TERTIO_ASSIGN_OR_RETURN(ExtentList slice, SliceExtents(*extents_, offset, count));
-  return group_->WriteExtents(slice, ready, payloads);
+  TERTIO_ASSIGN_OR_RETURN(const ExtentList* slice, cursor_.Slice(offset, count));
+  return group_->WriteExtents(*slice, ready, payloads);
 }
 
 DiskStats StripedDiskGroup::TotalStats() const {

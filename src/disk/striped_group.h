@@ -119,12 +119,13 @@ class StripedDiskGroup {
 };
 
 /// Pipeline source streaming a disk-resident logical sequence: block
-/// [offset, offset+count) of a Transfer maps to SliceExtents(extents,
-/// offset, count). The ExtentList must outlive the source.
+/// [offset, offset+count) of a Transfer maps to that slice of `extents`,
+/// cut by an ExtentCursor (a sequential transfer slices in amortised O(1)
+/// per chunk, with no allocation). The ExtentList must outlive the source.
 class ExtentReadSource final : public sim::BlockSource {
  public:
   ExtentReadSource(StripedDiskGroup* group, const ExtentList* extents)
-      : group_(group), extents_(extents) {}
+      : group_(group), cursor_(extents) {}
 
   Result<sim::Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out) override;
@@ -132,7 +133,7 @@ class ExtentReadSource final : public sim::BlockSource {
 
  private:
   StripedDiskGroup* group_;
-  const ExtentList* extents_;
+  ExtentCursor cursor_;
 };
 
 /// Pipeline sink writing a Transfer's chunks over a pre-allocated extent
@@ -140,7 +141,7 @@ class ExtentReadSource final : public sim::BlockSource {
 class ExtentWriteSink final : public sim::BlockSink {
  public:
   ExtentWriteSink(StripedDiskGroup* group, const ExtentList* extents)
-      : group_(group), extents_(extents) {}
+      : group_(group), cursor_(extents) {}
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
@@ -148,7 +149,7 @@ class ExtentWriteSink final : public sim::BlockSink {
 
  private:
   StripedDiskGroup* group_;
-  const ExtentList* extents_;
+  ExtentCursor cursor_;
 };
 
 }  // namespace tertio::disk

@@ -66,14 +66,17 @@ Status DiskPartitioner::AddPhantomBlocks(BlockCount count, std::uint64_t tuples,
   std::uint64_t local_tuples = gross_tuples / options_.bucket_count;
   phantom_tuple_carry_ = gross_tuples % options_.bucket_count;
 
-  // Round-robin the materialized blocks across the span.
+  // Round-robin the materialized blocks across the span. A bucket flushes
+  // only once its buffer holds w blocks, so MaybeFlush runs just then.
   for (BlockCount i = 0; i < local_blocks; ++i) {
     std::uint32_t local = phantom_cursor_;
     phantom_cursor_ = (phantom_cursor_ + 1) % span_;
     PendingBucket& p = pending_[local];
     p.phantom_pending += 1;
     if (p.data_ready < ready) p.data_ready = ready;
-    TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+    if (p.full_blocks.size() + p.phantom_pending >= options_.write_buffer_blocks) {
+      TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+    }
   }
   // Tuple counts spread evenly (used only for statistics in phantom runs).
   if (span_ > 0 && local_tuples > 0) {

@@ -59,15 +59,15 @@ Result<sim::StageId> JoinBucketPair(const JoinContext& ctx, const JoinSpec& spec
   sim::StageId t = ready;
   BlockCount offset = 0;
   std::uint64_t slices = 0;
+  disk::ExtentCursor r_cursor(&r_bucket.extents);
   while (offset < r_bucket.blocks) {
     BlockCount take = std::min<BlockCount>(r_memory_allowance, r_bucket.blocks - offset);
-    TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
-                            SliceExtents(r_bucket.extents, offset, take));
+    TERTIO_ASSIGN_OR_RETURN(const disk::ExtentList* slice, r_cursor.Slice(offset, take));
     std::vector<BlockPayload> r_blocks;
     TERTIO_ASSIGN_OR_RETURN(
         sim::StageId read,
         ctx.disks->IssueRead(pipe, "r-bucket-read",
-                             {t, pipe.Event("r-bucket-ready", r_bucket.ready)}, slice,
+                             {t, pipe.Event("r-bucket-ready", r_bucket.ready)}, *slice,
                              phantom ? nullptr : &r_blocks, ctx.chunk_retry_limit));
     t = read;
     HashJoinTable table(&spec.r->schema, spec.r_key_column, /*build_is_r=*/true,

@@ -169,6 +169,10 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       sim::StageId write_stage = sim::kNoStage;
     };
     BlockCount ring_pos = 0;
+    // Writes advance ring_pos and reads trail it: one cursor each keeps both
+    // slicing forward between wrap-arounds.
+    disk::ExtentCursor write_cursor(&ring_extents);
+    disk::ExtentCursor read_cursor(&ring_extents);
 
     // Writes `count` blocks into the ring (splitting on wrap-around); both
     // halves depend only on the producing read.
@@ -176,8 +180,8 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                           const std::vector<BlockPayload>* payloads) -> Result<Piece> {
       Piece piece{ring_pos, count, sim::kNoStage};
       BlockCount first = std::min<BlockCount>(count, g.ms - ring_pos);
-      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
-                              SliceExtents(ring_extents, ring_pos, first));
+      TERTIO_ASSIGN_OR_RETURN(const disk::ExtentList* slice,
+                              write_cursor.Slice(ring_pos, first));
       std::vector<BlockPayload> head, tail;
       const std::vector<BlockPayload>* head_ptr = nullptr;
       const std::vector<BlockPayload>* tail_ptr = nullptr;
@@ -186,17 +190,17 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
         head_ptr = &head;
       }
       TERTIO_ASSIGN_OR_RETURN(sim::StageId w1,
-                              ctx.disks->IssueWrite(pipe, "ring-write", {read}, slice, head_ptr));
+                              ctx.disks->IssueWrite(pipe, "ring-write", {read}, *slice, head_ptr));
       piece.write_stage = w1;
       if (first < count) {
-        TERTIO_ASSIGN_OR_RETURN(disk::ExtentList wrap,
-                                SliceExtents(ring_extents, 0, count - first));
+        TERTIO_ASSIGN_OR_RETURN(const disk::ExtentList* wrap,
+                                write_cursor.Slice(0, count - first));
         if (payloads != nullptr) {
           tail.assign(payloads->begin() + static_cast<long>(first.value()), payloads->end());
           tail_ptr = &tail;
         }
         TERTIO_ASSIGN_OR_RETURN(
-            sim::StageId w2, ctx.disks->IssueWrite(pipe, "ring-write", {read}, wrap, tail_ptr));
+            sim::StageId w2, ctx.disks->IssueWrite(pipe, "ring-write", {read}, *wrap, tail_ptr));
         piece.write_stage = pipe.Barrier("ring-piece", {w1, w2});
       }
       ring_pos = (ring_pos + count) % g.ms;
@@ -207,16 +211,16 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
     auto ring_read = [&](const Piece& piece, std::initializer_list<sim::StageId> deps,
                          std::vector<BlockPayload>* out) -> Result<sim::StageId> {
       BlockCount first = std::min<BlockCount>(piece.count, g.ms - piece.ring_off);
-      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList head_slice,
-                              SliceExtents(ring_extents, piece.ring_off, first));
+      TERTIO_ASSIGN_OR_RETURN(const disk::ExtentList* head_slice,
+                              read_cursor.Slice(piece.ring_off, first));
       TERTIO_ASSIGN_OR_RETURN(sim::StageId r1,
-                              ctx.disks->IssueRead(pipe, "ring-read", deps, head_slice, out,
+                              ctx.disks->IssueRead(pipe, "ring-read", deps, *head_slice, out,
                                                    ctx.chunk_retry_limit));
       if (first < piece.count) {
-        TERTIO_ASSIGN_OR_RETURN(disk::ExtentList wrap_slice,
-                                SliceExtents(ring_extents, 0, piece.count - first));
+        TERTIO_ASSIGN_OR_RETURN(const disk::ExtentList* wrap_slice,
+                                read_cursor.Slice(0, piece.count - first));
         TERTIO_ASSIGN_OR_RETURN(sim::StageId r2,
-                                ctx.disks->IssueRead(pipe, "ring-read", deps, wrap_slice, out,
+                                ctx.disks->IssueRead(pipe, "ring-read", deps, *wrap_slice, out,
                                                      ctx.chunk_retry_limit));
         return pipe.Barrier("ring-piece", {r1, r2});
       }

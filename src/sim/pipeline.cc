@@ -1,6 +1,7 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/auditor.h"
 
@@ -8,17 +9,31 @@ namespace tertio::sim {
 
 std::size_t SpanTrace::PhaseIndex(std::string_view phase, std::string_view device,
                                   Interval interval) {
+  if (!phases_.empty()) {
+    if (phases_[recent_[0]].phase == phase) return recent_[0];
+    if (phases_[recent_[1]].phase == phase) {
+      std::swap(recent_[0], recent_[1]);
+      return recent_[0];
+    }
+  }
   auto pos = std::lower_bound(
       by_phase_.begin(), by_phase_.end(), phase,
       [this](std::uint32_t index, std::string_view label) { return phases_[index].phase < label; });
-  if (pos != by_phase_.end() && phases_[*pos].phase == phase) return *pos;
-  PhaseSummary summary;
-  summary.phase = std::string(phase);
-  summary.device = std::string(device);
-  summary.window = interval;
-  phases_.push_back(std::move(summary));
-  by_phase_.insert(pos, static_cast<std::uint32_t>(phases_.size() - 1));
-  return phases_.size() - 1;
+  std::uint32_t index;
+  if (pos != by_phase_.end() && phases_[*pos].phase == phase) {
+    index = *pos;
+  } else {
+    PhaseSummary summary;
+    summary.phase = std::string(phase);
+    summary.device = std::string(device);
+    summary.window = interval;
+    phases_.push_back(std::move(summary));
+    index = static_cast<std::uint32_t>(phases_.size() - 1);
+    by_phase_.insert(pos, index);
+  }
+  recent_[1] = recent_[0];
+  recent_[0] = index;
+  return index;
 }
 
 void SpanTrace::Record(std::string_view phase, std::string_view device, BlockCount blocks,
@@ -41,6 +56,7 @@ void SpanTrace::Clear() {
   spans_.clear();
   phases_.clear();
   by_phase_.clear();
+  recent_[0] = recent_[1] = 0;
   window_ = Interval{};
   has_window_ = false;
 }
@@ -67,7 +83,7 @@ StageId Pipeline::Commit(std::string_view phase, std::string_view device, BlockC
 
 Result<StageId> Pipeline::Stage(std::string_view phase, std::string_view device,
                                 std::span<const StageId> deps, BlockCount blocks,
-                                ByteCount bytes, const StageOp& op) {
+                                ByteCount bytes, StageOp op) {
   SimSeconds ready = ReadyAfter(deps);
   TERTIO_ASSIGN_OR_RETURN(Interval interval, op(ready));
   return Commit(phase, device, blocks, bytes, ready, interval);
@@ -75,7 +91,7 @@ Result<StageId> Pipeline::Stage(std::string_view phase, std::string_view device,
 
 Result<StageId> Pipeline::StageWithRetry(std::string_view phase, std::string_view device,
                                          std::span<const StageId> deps, BlockCount blocks,
-                                         ByteCount bytes, const StageOp& op, int retry_limit) {
+                                         ByteCount bytes, StageOp op, int retry_limit) {
   int attempts = 0;
   for (;;) {
     Result<StageId> stage = Stage(phase, device, deps, blocks, bytes, op);
@@ -120,38 +136,45 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
   BlockCount issued_blocks = 0;
   BlockCount sunk_blocks = 0;
   BlockCount dropped_blocks = 0;
+  // One payload buffer serves every chunk: cleared per attempt, so its
+  // capacity is reused instead of reallocated per chunk.
+  std::vector<BlockPayload> payloads;
+  std::vector<BlockPayload>* moved = plan.move_payloads ? &payloads : nullptr;
+  const std::string_view source_device = source.device();
+  const std::string_view sink_device = sink.device();
   for (BlockCount offset = resume_at; offset < plan.total; offset += chunk) {
     BlockCount take = std::min<BlockCount>(chunk, plan.total - offset);
     // Streaming: chunk i+1's read follows read i. Lock-step: it waits for
     // write i (the paper's sequential single-process structure).
     read_deps.back() = plan.streaming ? result.last_read : result.last_write;
+    auto read_op = [&](SimSeconds ready) { return source.Read(offset, take, ready, moved); };
+    auto write_op = [&](SimSeconds ready) { return sink.Write(offset, take, ready, moved); };
     int attempts = 0;
     for (;;) {
-      std::vector<BlockPayload> payloads;
-      std::vector<BlockPayload>* moved = plan.move_payloads ? &payloads : nullptr;
+      payloads.clear();
       issued_blocks += take;
-      Result<StageId> read =
-          Stage(plan.read_phase, source.device(), std::span<const StageId>(read_deps), take, 0,
-                [&](SimSeconds ready) { return source.Read(offset, take, ready, moved); });
-      Result<StageId> write = Status::Internal("unreached");
+      Result<StageId> read = Stage(plan.read_phase, source_device,
+                                   std::span<const StageId>(read_deps), take, 0, read_op);
+      Status failure;
       if (read.ok()) {
-        write = Stage(plan.write_phase, sink.device(), {*read}, take, 0,
-                      [&](SimSeconds ready) { return sink.Write(offset, take, ready, moved); });
-      }
-      if (read.ok() && write.ok()) {
-        sunk_blocks += take;
-        if (result.first_read == kNoStage) result.first_read = *read;
-        result.last_read = *read;
-        result.last_write = *write;
-        result.source_done = end(*read);
-        result.done = std::max(result.done, std::max(end(*read), end(*write)));
-        break;
+        Result<StageId> write = Stage(plan.write_phase, sink_device, {*read}, take, 0, write_op);
+        if (write.ok()) {
+          sunk_blocks += take;
+          if (result.first_read == kNoStage) result.first_read = *read;
+          result.last_read = *read;
+          result.last_write = *write;
+          result.source_done = end(*read);
+          result.done = std::max(result.done, std::max(end(*read), end(*write)));
+          break;
+        }
+        failure = write.status();
+      } else {
+        failure = read.status();
       }
       // The device model has already charged the failed attempt's time.
       // A kDeviceError is retryable at chunk granularity: re-issue this
       // chunk's read and write (a failed-mid-chunk read delivered nothing,
       // so the re-read produces the full chunk). Anything else propagates.
-      const Status failure = read.ok() ? write.status() : read.status();
       if (failure.code() != StatusCode::kDeviceError || attempts >= plan.chunk_retry_limit) {
         return failure;
       }
@@ -162,7 +185,7 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
       // Surface the recovery in the span trace (a marker, not a stage: the
       // failed attempt's device time is inside the device's own timeline).
       if (trace_ != nullptr) {
-        trace_->Record("recovery:chunk-retry", source.device(), take, 0,
+        trace_->Record("recovery:chunk-retry", source_device, take, 0,
                        Interval::At(ReadyAfter(std::span<const StageId>(read_deps))));
       }
     }

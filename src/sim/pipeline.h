@@ -27,13 +27,20 @@
 /// a SpanTrace — collected into JoinStats and rendered by exec/report and
 /// sim/trace_report — giving a Figure-4-style phase timeline for every
 /// method.
+///
+/// Every simulated block moves through Transfer's per-chunk loop, so a
+/// stage's host cost is the simulator's host budget. The loop allocates
+/// nothing in steady state: StageOp is a non-owning function reference,
+/// one payload buffer serves every chunk, and SpanTrace finds the phase of
+/// a read/write alternation without a search (DESIGN.md §5.1).
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/interval.h"
@@ -99,10 +106,12 @@ class SpanTrace {
   void Clear();
 
  private:
-  // Phase lookup goes through a sorted index over phases_ (by label):
-  // first-appearance order in phases_ itself is preserved for deterministic
-  // reports, while Record() pays O(log phases) instead of a linear scan per
-  // stage — hashed containers are banned in src/sim (tertio_lint).
+  // Phase lookup first checks the two most recently hit phases (a Transfer
+  // alternates between its read and write labels), then a sorted index over
+  // phases_ (by label): first-appearance order in phases_ itself is
+  // preserved for deterministic reports, while a miss pays O(log phases)
+  // instead of a linear scan — hashed containers are banned in src/sim
+  // (tertio_lint).
   std::size_t PhaseIndex(std::string_view phase, std::string_view device, Interval interval);
 
   bool retain_ = false;
@@ -110,6 +119,9 @@ class SpanTrace {
   std::vector<PhaseSummary> phases_;
   /// Indices into phases_, sorted by phase label (the Record() lookup index).
   std::vector<std::uint32_t> by_phase_;
+  /// The last two phases_ indices PhaseIndex returned, most recent first.
+  /// They start at 0, a valid index once phases_ is not empty.
+  std::uint32_t recent_[2] = {0, 0};
   Interval window_;
   bool has_window_ = false;
 };
@@ -148,8 +160,26 @@ class BlockSink {
 class Pipeline {
  public:
   /// A stage operation: performs the device work, eligible at `ready`, and
-  /// returns the interval it occupied.
-  using StageOp = std::function<Result<Interval>(SimSeconds ready)>;
+  /// returns the interval it occupied. Non-owning (a function reference: one
+  /// object pointer plus one call thunk), so dispatching a stage allocates
+  /// nothing; the referenced callable must outlive the Stage() call, which a
+  /// lambda passed inline always does.
+  class StageOp {
+   public:
+    template <typename F,
+              typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, StageOp>>>
+    StageOp(F&& op)  // NOLINT(google-explicit-constructor): lambdas pass inline
+        : object_(const_cast<void*>(static_cast<const void*>(std::addressof(op)))),
+          call_([](void* object, SimSeconds ready) -> Result<Interval> {
+            return (*static_cast<std::remove_reference_t<F>*>(object))(ready);
+          }) {}
+
+    Result<Interval> operator()(SimSeconds ready) const { return call_(object_, ready); }
+
+   private:
+    void* object_;
+    Result<Interval> (*call_)(void* object, SimSeconds ready);
+  };
 
   /// \param start virtual time before which no stage may begin.
   /// \param trace optional span collector (spans are dropped when null).
@@ -169,10 +199,10 @@ class Pipeline {
   /// its span under `phase`.
   Result<StageId> Stage(std::string_view phase, std::string_view device,
                         std::span<const StageId> deps, BlockCount blocks, ByteCount bytes,
-                        const StageOp& op);
+                        StageOp op);
   Result<StageId> Stage(std::string_view phase, std::string_view device,
                         std::initializer_list<StageId> deps, BlockCount blocks, ByteCount bytes,
-                        const StageOp& op) {
+                        StageOp op) {
     return Stage(phase, device, std::span<const StageId>(deps.begin(), deps.size()), blocks,
                  bytes, op);
   }
@@ -185,7 +215,7 @@ class Pipeline {
   /// executors issuing bare scan stages use it directly.
   Result<StageId> StageWithRetry(std::string_view phase, std::string_view device,
                                  std::span<const StageId> deps, BlockCount blocks,
-                                 ByteCount bytes, const StageOp& op, int retry_limit);
+                                 ByteCount bytes, StageOp op, int retry_limit);
 
   /// A zero-duration marker at max(start(), when): lets externally-computed
   /// readiness (a bucket's flush time, buffer-space availability) enter the

@@ -9,6 +9,11 @@
 /// moves through a compressing drive. Volumes can be truncated back to a
 /// logical end-of-data marker, which is how scratch space on the R and S
 /// tapes (the paper's T_R and T_S) is reclaimed between experiments.
+///
+/// Storage is a structure of arrays: one contiguous float per block for the
+/// compressibility, and a payload vector that extends only to the last real
+/// block. A phantom block (timing-only runs) therefore costs 4 bytes, and a
+/// drive costing a multi-block read sums a dense float run.
 
 #include <cstdint>
 #include <string>
@@ -38,7 +43,7 @@ class TapeVolume {
   const std::string& name() const { return name_; }
   ByteCount block_bytes() const { return block_bytes_; }
   BlockCount capacity_blocks() const { return capacity_blocks_; }
-  BlockCount size_blocks() const { return blocks_.size(); }
+  BlockCount size_blocks() const { return compressibility_.size(); }
   ByteCount size_bytes() const { return size_blocks() * block_bytes_; }
 
   /// Appends one block with a real payload.
@@ -47,7 +52,8 @@ class TapeVolume {
   /// Appends `count` phantom blocks (timing-only data).
   Status AppendPhantom(BlockCount count, double compressibility);
 
-  /// Payload of block `index` (nullptr for phantom blocks).
+  /// Payload of block `index` (nullptr for phantom blocks, which includes
+  /// every block past the last real one).
   Result<BlockPayload> ReadBlock(BlockIndex index) const;
 
   /// Compressibility of block `index`.
@@ -66,17 +72,17 @@ class TapeVolume {
   void BindAuditor(sim::Auditor* auditor) { auditor_ = auditor; }
 
  private:
-  struct Entry {
-    BlockPayload payload;  // nullptr = phantom
-    float compressibility;
-  };
   Status CheckRange(BlockIndex start, BlockCount count) const;
 
   std::string name_;
   ByteCount block_bytes_;
   BlockCount capacity_blocks_;
   sim::Auditor* auditor_ = nullptr;
-  std::vector<Entry> blocks_;
+  /// One entry per recorded block; its size is the volume's size.
+  std::vector<float> compressibility_;
+  /// Payloads of blocks [0, payloads_.size()); nullptr = phantom. Never
+  /// longer than compressibility_, and ends at or after the last real block.
+  std::vector<BlockPayload> payloads_;
 };
 
 }  // namespace tertio::tape

@@ -7,6 +7,8 @@
 #include "disk/disk_volume.h"
 #include "disk/striped_group.h"
 #include "sim/simulation.h"
+#include "reference_extent_slice.h"
+#include "util/rng.h"
 
 namespace tertio::disk {
 namespace {
@@ -203,6 +205,84 @@ TEST(StripedGroupTest, TotalStatsAggregate) {
   DiskStats stats = group.TotalStats();
   EXPECT_EQ(stats.blocks_written, 20u);
   EXPECT_EQ(stats.blocks_read, 20u);
+}
+
+// ---- ExtentCursor vs the per-call slicer -------------------------------------
+
+/// Checks one slice request three ways: the cursor (carrying its state from
+/// earlier requests), the one-shot SliceExtents, and the per-call oracle.
+void ExpectSameSlice(ExtentCursor& cursor, const ExtentList& extents, BlockCount offset,
+                     BlockCount count) {
+  SCOPED_TRACE(::testing::Message() << "offset " << offset << " count " << count << " over "
+                                    << extents.size() << " extents");
+  Result<ExtentList> want = ReferenceSliceExtents(extents, offset, count);
+  Result<ExtentList> one_shot = SliceExtents(extents, offset, count);
+  Result<const ExtentList*> got = cursor.Slice(offset, count);
+  ASSERT_EQ(got.ok(), want.ok());
+  ASSERT_EQ(one_shot.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status(), want.status());
+    EXPECT_EQ(one_shot.status(), want.status());
+    EXPECT_EQ(want.status().code(), StatusCode::kInvalidArgument);
+    return;
+  }
+  EXPECT_EQ(**got, *want);
+  EXPECT_EQ(*one_shot, *want);
+}
+
+TEST(ExtentCursorTest, MatchesPerCallSlicingOnRandomOffsetSequences) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Random list: 0..40 extents of 0..9 blocks (empty extents included).
+    ExtentList extents;
+    const std::uint64_t n = rng.NextBelow(41);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      extents.push_back(Extent{static_cast<int>(rng.NextBelow(4)), rng.NextBelow(1000),
+                               rng.NextBelow(10)});
+    }
+    const BlockCount total = TotalBlocks(extents);
+    ExtentCursor cursor(&extents);
+    BlockCount offset = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::uint64_t kind = rng.NextBelow(8);
+      if (kind == 0) {
+        offset = rng.NextBelow(total.value() + 1);  // backward or forward jump (resume)
+      } else if (kind == 1) {
+        offset = 0;  // rewind to the head
+      } else if (kind == 2) {
+        offset = total + rng.NextBelow(5);  // at or past the end
+      }
+      const BlockCount count = rng.NextBelow(12);
+      ExpectSameSlice(cursor, extents, offset, count);
+      if (rng.NextBelow(4) == 0) ExpectSameSlice(cursor, extents, offset, count);  // retry
+      if (kind >= 3) offset += count;  // forward: the next chunk
+    }
+  }
+}
+
+TEST(ExtentCursorTest, OutOfRangeKeepsTheSliceExtentsErrorText) {
+  ExtentList extents{{0, 10, 5}, {1, 0, 3}};
+  ExtentCursor cursor(&extents);
+  ASSERT_TRUE(cursor.Slice(2, 4).ok());
+  auto past = cursor.Slice(6, 5);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(past.status().message(),
+            "extent slice out of range: 3 blocks past the end of a 8-block sequence");
+  // The cursor recovers for an in-range request after the error.
+  auto back = cursor.Slice(0, 8);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(**back, extents);
+}
+
+TEST(ExtentCursorTest, AppendingToTheListKeepsTheCursorValid) {
+  ExtentList extents{{0, 0, 4}};
+  ExtentCursor cursor(&extents);
+  ASSERT_TRUE(cursor.Slice(2, 2).ok());
+  EXPECT_FALSE(cursor.Slice(4, 2).ok());
+  extents.push_back(Extent{1, 100, 4});
+  ExpectSameSlice(cursor, extents, 3, 3);
+  ExpectSameSlice(cursor, extents, 6, 2);
 }
 
 }  // namespace

@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "disk/striped_group.h"
 #include "exec/machine.h"
 #include "join/join_method.h"
 #include "join/reference_join.h"
@@ -24,6 +27,7 @@
 #include "sim/simulation.h"
 #include "tape/tape_library.h"
 #include "tape/tape_scheduler.h"
+#include "reference_extent_slice.h"
 
 namespace tertio::sim {
 namespace {
@@ -385,6 +389,158 @@ TEST(ChunkRetry, CheckpointResumesWhereTheTransferStopped) {
   EXPECT_EQ(checkpoint.completed_blocks, 8u);
   EXPECT_EQ(checkpoint.chunk_retries, 1u);
   EXPECT_EQ(source.reads(), (std::vector<BlockCount>{0, 2, 4, 4, 4, 6}));
+}
+
+/// Disk source/sink slicing every chunk with the per-call oracle
+/// (tests/reference_extent_slice.h) — the slicing the cursor replaced.
+class ReferenceExtentSource final : public BlockSource {
+ public:
+  ReferenceExtentSource(disk::StripedDiskGroup* group, const disk::ExtentList* extents)
+      : group_(group), extents_(extents) {}
+  Result<Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
+                        std::vector<BlockPayload>* out) override {
+    TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
+                            disk::ReferenceSliceExtents(*extents_, offset, count));
+    return group_->ReadExtents(slice, ready, out);
+  }
+  std::string_view device() const override { return "disks"; }
+
+ private:
+  disk::StripedDiskGroup* group_;
+  const disk::ExtentList* extents_;
+};
+
+class ReferenceExtentSink final : public BlockSink {
+ public:
+  ReferenceExtentSink(disk::StripedDiskGroup* group, const disk::ExtentList* extents)
+      : group_(group), extents_(extents) {}
+  Result<Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
+                         std::vector<BlockPayload>* payloads) override {
+    TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
+                            disk::ReferenceSliceExtents(*extents_, offset, count));
+    return group_->WriteExtents(slice, ready, payloads);
+  }
+  std::string_view device() const override { return "disks"; }
+
+ private:
+  disk::StripedDiskGroup* group_;
+  const disk::ExtentList* extents_;
+};
+
+/// Everything observable about one faulty disk-to-disk transfer.
+struct ExtentTransferRun {
+  std::size_t source_extents = 0;
+  std::vector<Span> spans;
+  std::vector<StatusCode> attempts;
+  std::uint64_t chunk_retries = 0;
+  Pipeline::TransferCheckpoint checkpoint;
+  disk::DiskStats stats;
+  FaultStats faults;
+  std::vector<std::uint8_t> delivered;  // first byte of each destination block
+};
+
+/// Copies 1,600 real blocks between two single-block-striped allocations
+/// (over a thousand extents each) on disks with transient read faults. The
+/// first issue runs without in-place retries and stops at a failed chunk;
+/// re-issues resume from its checkpoint with chunk retries enabled.
+template <typename Source, typename Sink>
+ExtentTransferRun RunFaultyExtentTransfer() {
+  constexpr BlockCount kBlocks = 1600;
+  constexpr ByteCount kDiskBlock = 64;
+  Simulation sim;
+  disk::StripedDiskGroup group(
+      disk::DiskGroupConfig::Uniform(4, disk::DiskModel::QuantumFireball1080(), 2 * kBlocks,
+                                     kDiskBlock, /*stripe_unit=*/1),
+      &sim);
+  FaultProfile profile;
+  profile.transient_read_error_rate = 0.05;  // ~1 in 400 block reads fails hard
+  profile.max_retries = 1;
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
+  for (int d = 0; d < group.disk_count(); ++d) {
+    injectors.push_back(std::make_unique<FaultInjector>(profile, 17, group.disk(d)->name()));
+    group.disk(d)->set_fault_injector(injectors.back().get());
+  }
+  ExtentTransferRun run;
+  disk::ExtentList from = group.allocator().Allocate(kBlocks, 0.0, "from").value();
+  disk::ExtentList to = group.allocator().Allocate(kBlocks, 0.0, "to").value();
+  run.source_extents = from.size();
+  std::vector<BlockPayload> payloads;
+  for (std::uint64_t i = 0; i < kBlocks.value(); ++i) {
+    payloads.push_back(MakePayload(
+        std::vector<std::uint8_t>(kDiskBlock.value(), static_cast<std::uint8_t>(i * 7))));
+  }
+  TERTIO_CHECK(group.WriteExtents(from, 0.0, &payloads).ok(), "seed write failed");
+
+  SpanTrace trace;
+  trace.set_retain(true);
+  Pipeline pipe(1.0, &trace);
+  Source source(&group, &from);
+  Sink sink(&group, &to);
+  Pipeline::TransferPlan plan;
+  plan.read_phase = "copy-read";
+  plan.write_phase = "copy-write";
+  plan.total = kBlocks;
+  plan.chunk = 3;  // chunks straddle extent boundaries
+  plan.move_payloads = true;
+  plan.checkpoint = &run.checkpoint;
+  for (int issue = 0; issue < 20; ++issue) {
+    plan.chunk_retry_limit = issue == 0 ? 0 : 2;
+    auto result = pipe.Transfer(plan, source, sink);
+    run.attempts.push_back(result.status().code());
+    if (result.ok()) break;
+  }
+  run.spans = trace.spans();
+  run.chunk_retries = pipe.chunk_retries();
+  run.stats = group.TotalStats();
+  run.faults = group.TotalFaultStats();
+  std::vector<BlockPayload> out;
+  for (auto& injector : injectors) injector.reset();
+  for (int d = 0; d < group.disk_count(); ++d) group.disk(d)->set_fault_injector(nullptr);
+  TERTIO_CHECK(group.ReadExtents(to, pipe.Horizon(), &out).ok(), "read-back failed");
+  for (const BlockPayload& block : out) {
+    run.delivered.push_back(block != nullptr ? (*block)[0] : 0);
+  }
+  return run;
+}
+
+TEST(ChunkRetry, CursorSlicedTransferOverThousandsOfExtentsMatchesPerCallSlicing) {
+  const ExtentTransferRun want =
+      RunFaultyExtentTransfer<ReferenceExtentSource, ReferenceExtentSink>();
+  const ExtentTransferRun got =
+      RunFaultyExtentTransfer<disk::ExtentReadSource, disk::ExtentWriteSink>();
+  // The scenario exercises what it claims to.
+  EXPECT_GT(want.source_extents, 1000u);
+  ASSERT_GE(want.attempts.size(), 2u);
+  EXPECT_EQ(want.attempts.front(), StatusCode::kDeviceError);  // checkpoint resume
+  EXPECT_EQ(want.attempts.back(), StatusCode::kOk);
+  EXPECT_GT(want.checkpoint.chunk_retries, 0u);  // in-place chunk retries
+  EXPECT_EQ(want.checkpoint.completed_blocks, 1600u);
+  ASSERT_EQ(want.delivered.size(), 1600u);
+  for (std::size_t i = 0; i < want.delivered.size(); ++i) {
+    ASSERT_EQ(want.delivered[i], static_cast<std::uint8_t>(i * 7)) << "block " << i;
+  }
+
+  // Cursor slicing reproduces every stage interval and every sunk block.
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.chunk_retries, want.chunk_retries);
+  EXPECT_EQ(got.checkpoint.completed_blocks, want.checkpoint.completed_blocks);
+  EXPECT_EQ(got.checkpoint.chunk_retries, want.checkpoint.chunk_retries);
+  EXPECT_EQ(got.stats.blocks_read, want.stats.blocks_read);
+  EXPECT_EQ(got.stats.blocks_written, want.stats.blocks_written);
+  EXPECT_EQ(got.stats.requests, want.stats.requests);
+  EXPECT_EQ(got.faults.transient_faults, want.faults.transient_faults);
+  EXPECT_EQ(got.faults.retries, want.faults.retries);
+  EXPECT_EQ(got.faults.hard_failures, want.faults.hard_failures);
+  EXPECT_EQ(got.faults.recovery_seconds, want.faults.recovery_seconds);
+  EXPECT_EQ(got.delivered, want.delivered);
+  ASSERT_EQ(got.spans.size(), want.spans.size());
+  for (std::size_t i = 0; i < want.spans.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.spans[i].phase, want.spans[i].phase);
+    EXPECT_EQ(got.spans[i].blocks, want.spans[i].blocks);
+    EXPECT_EQ(got.spans[i].interval.start, want.spans[i].interval.start);
+    EXPECT_EQ(got.spans[i].interval.end, want.spans[i].interval.end);
+  }
 }
 
 TEST(ChunkRetry, StageWithRetryRecoversBareStages) {

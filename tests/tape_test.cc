@@ -70,6 +70,93 @@ TEST(TapeVolumeTest, TruncateReclaimsScratchSpace) {
   EXPECT_FALSE(vol.Truncate(5).ok());
 }
 
+TEST(TapeVolumeTest, PhantomRealPhantomAppendsKeepEveryBlock) {
+  TapeVolume vol("t", kBlock);
+  ASSERT_TRUE(vol.AppendPhantom(3, 0.25).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(7), 0.5).ok());
+  ASSERT_TRUE(vol.AppendPhantom(2, 0.75).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(8), 0.0).ok());
+  EXPECT_EQ(vol.size_blocks(), 7u);
+  const double want_c[] = {0.25, 0.25, 0.25, 0.5, 0.75, 0.75, 0.0};
+  const int want_fill[] = {-1, -1, -1, 7, -1, -1, 8};  // -1 = phantom
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_DOUBLE_EQ(vol.Compressibility(i).value(), want_c[i]);
+    auto p = vol.ReadBlock(i);
+    ASSERT_TRUE(p.ok());
+    if (want_fill[i] < 0) {
+      EXPECT_EQ(p.value(), nullptr);
+    } else {
+      ASSERT_NE(p.value(), nullptr);
+      EXPECT_EQ((*p.value())[0], want_fill[i]);
+    }
+  }
+  // Summed in block order, exactly as the per-block float values add up.
+  double sum = 0.0;
+  for (double c : want_c) sum += static_cast<float>(c);
+  EXPECT_EQ(vol.MeanCompressibility(0, 7).value(), sum / 7.0);
+}
+
+TEST(TapeVolumeTest, PhantomBlockAfterARealOneReadsAsNull) {
+  TapeVolume vol("t", kBlock);
+  ASSERT_TRUE(vol.Append(MakeBlock(1), 0.0).ok());
+  ASSERT_TRUE(vol.AppendPhantom(4, 0.25).ok());
+  auto real = vol.ReadBlock(0);
+  ASSERT_TRUE(real.ok());
+  ASSERT_NE(real.value(), nullptr);
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    auto p = vol.ReadBlock(i);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(p.value(), nullptr);
+  }
+  EXPECT_FALSE(vol.ReadBlock(5).ok());
+}
+
+TEST(TapeVolumeTest, TruncateAcrossTheRealPhantomBoundary) {
+  TapeVolume vol("t", kBlock);
+  ASSERT_TRUE(vol.Append(MakeBlock(1), 0.0).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(2), 0.0).ok());
+  ASSERT_TRUE(vol.AppendPhantom(3, 0.5).ok());
+  // Cut into the real blocks: block 0 keeps its payload, block 1 is gone.
+  ASSERT_TRUE(vol.Truncate(1).ok());
+  EXPECT_EQ(vol.size_blocks(), 1u);
+  EXPECT_FALSE(vol.ReadBlock(1).ok());
+  // Re-grow past the cut: the new blocks are phantom, not the old payloads.
+  ASSERT_TRUE(vol.AppendPhantom(2, 0.25).ok());
+  EXPECT_EQ(vol.ReadBlock(1).value(), nullptr);
+  EXPECT_EQ(vol.ReadBlock(2).value(), nullptr);
+  EXPECT_DOUBLE_EQ(vol.Compressibility(1).value(), 0.25);
+  EXPECT_EQ((*vol.ReadBlock(0).value())[0], 1);
+  // Cut inside the phantom tail, then append a real block after it.
+  ASSERT_TRUE(vol.Truncate(2).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(9), 0.0).ok());
+  EXPECT_EQ(vol.ReadBlock(1).value(), nullptr);
+  EXPECT_EQ((*vol.ReadBlock(2).value())[0], 9);
+  // Truncating to zero leaves an empty volume that accepts appends again.
+  ASSERT_TRUE(vol.Truncate(0).ok());
+  EXPECT_EQ(vol.size_blocks(), 0u);
+  EXPECT_FALSE(vol.ReadBlock(0).ok());
+  ASSERT_TRUE(vol.AppendPhantom(1, 0.0).ok());
+  EXPECT_EQ(vol.ReadBlock(0).value(), nullptr);
+}
+
+TEST(TapeVolumeTest, CapacityErrorsLeaveTheVolumeUnchanged) {
+  TapeVolume vol("t", kBlock, /*capacity_blocks=*/4);
+  ASSERT_TRUE(vol.Append(MakeBlock(1), 0.0).ok());
+  ASSERT_TRUE(vol.AppendPhantom(2, 0.5).ok());
+  Status over = vol.AppendPhantom(2, 0.5);
+  EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(over.message(), "tape t cannot hold 2 more blocks");
+  EXPECT_EQ(vol.size_blocks(), 3u);
+  ASSERT_TRUE(vol.Append(MakeBlock(2), 0.0).ok());
+  Status full = vol.Append(MakeBlock(3), 0.0);
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(full.message(), "tape t is full (4 blocks)");
+  EXPECT_EQ(vol.size_blocks(), 4u);
+  EXPECT_EQ((*vol.ReadBlock(3).value())[0], 2);
+  EXPECT_EQ(vol.ReadBlock(2).value(), nullptr);
+}
+
 TEST(TapeVolumeTest, MeanCompressibilityAverages) {
   TapeVolume vol("t", kBlock);
   ASSERT_TRUE(vol.AppendPhantom(2, 0.0).ok());

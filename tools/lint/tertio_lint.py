@@ -22,6 +22,10 @@ hot-path
     (iteration-order nondeterminism), `rand` / `srand` (hidden global state)
     and wall-clock reads (`std::chrono` clocks, `gettimeofday`,
     `clock_gettime`, `time(...)`) are banned in src/join and src/sim.
+    `std::function` is banned in src/sim (rule std-function): the pipeline
+    commits every stage of every transfer, and a type-erased owning callable
+    there may heap-allocate per stage; take a non-owning
+    `Pipeline::StageOp` or a template parameter instead.
 
 span-registry
     Every pipeline phase label used by the join executors and the pipeline
@@ -249,10 +253,21 @@ BANNED = [
 ]
 
 
+SIM_DIRS = ("src/sim",)
+
+SIM_BANNED = [
+    ("std-function", re.compile(r"\bstd::function\b"),
+     "std::function may heap-allocate per stage on the pipeline's commit path; "
+     "take a non-owning callable (Pipeline::StageOp) or a template parameter"),
+]
+
+
 def check_hot_paths(repo: Repo, findings: list[Finding]) -> None:
     for src in repo.sources(HOT_DIRS):
+        rel = src.path.relative_to(repo.root).as_posix()
+        banned = BANNED + (SIM_BANNED if rel.startswith(SIM_DIRS) else [])
         for idx, line in enumerate(src.stripped_lines):
-            for rule, pattern, message in BANNED:
+            for rule, pattern, message in banned:
                 if pattern.search(line) and rule not in src.waivers_for(idx + 1):
                     findings.append(Finding(src.path, idx + 1, rule, message))
             if re.search(r"#\s*include\s*<unordered_map>", line) \

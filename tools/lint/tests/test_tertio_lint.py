@@ -222,6 +222,32 @@ class PackSelectionTest(unittest.TestCase):
             self.assertEqual(code, 1)
             self.assertIn("unordered-map", out)
 
+    def test_std_function_banned_in_sim(self):
+        with LintTree() as tree:
+            tree.write("src/sim/pipe.h",
+                       "using Op = std::function<int(double)>;\n")
+            code, out = tree.run("--rules=hot-path")
+            self.assertEqual(code, 1)
+            self.assertIn("src/sim/pipe.h:1: [std-function]", out)
+
+    def test_std_function_allowed_outside_sim(self):
+        with LintTree() as tree:
+            tree.write("src/tape/drive.h",
+                       "using Fn = std::function<int(double)>;\n")
+            tree.write("src/join/exec.cc",
+                       "using Sink = std::function<void(int)>;\n")
+            code, out = tree.run("--rules=hot-path")
+            self.assertEqual(code, 0, out)
+
+    def test_std_function_waiver_and_comment_mention(self):
+        with LintTree() as tree:
+            tree.write("src/sim/pipe.h",
+                       "// Not a std::function: a function reference.\n"
+                       "// tertio-lint: allow(std-function)\n"
+                       "using Cold = std::function<void()>;\n")
+            code, out = tree.run("--rules=hot-path")
+            self.assertEqual(code, 0, out)
+
     def test_unknown_pack_is_usage_error(self):
         with LintTree() as tree:
             code, out = tree.run("--rules=nonsense")

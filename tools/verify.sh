@@ -50,12 +50,16 @@ if [[ ! -s "$SMOKE_JSON" ]]; then
 fi
 rm -f "$SMOKE_JSON"
 
-echo "== bench smoke: data-plane speedup (SIMD probe) =="
+echo "== bench smoke: data-plane speedup (SIMD probe) + transfer-loop linearity =="
 SMOKE_JSON="$(mktemp -t bench_joins.XXXXXX.json)"
 rm -f "$SMOKE_JSON"
 # --benchmark_filter matches nothing: the registered google-benchmark loops
 # are skipped and only main()'s headline metrics (probe sweep with in-bench
 # reference/production agreement checks, per-chunk transfer host cost) run.
+# The disk extent transfer must cost no more per chunk at 10^5 chunks than
+# 1.5x its cost at 10^3: a ratio, so host speed does not move the gate, and a
+# per-chunk step that grows with the transfer's length (an extent rescan
+# from the list head, say) fails it.
 TERTIO_BENCH_JSON="$SMOKE_JSON" ./build/bench/bench_micro_substrates \
   --benchmark_filter='^$' >/dev/null
 python3 - "$SMOKE_JSON" <<'EOF'
@@ -66,6 +70,12 @@ probe = metrics["probe_very_selective_16b_speedup"]
 print(f"probe very-selective speedup {probe:.2f}x")
 if probe < 2.0:
     sys.exit(f"FAIL: SIMD probe speedup {probe:.2f}x < 2.0x at the very-selective point")
+linearity = (metrics["transfer_extents_ns_per_chunk_100k"]
+             / metrics["transfer_extents_ns_per_chunk_1k"])
+print(f"extent transfer ns/chunk, 10^5 over 10^3 chunks: {linearity:.2f}")
+if linearity > 1.5:
+    sys.exit(f"FAIL: extent transfer ns/chunk grows {linearity:.2f}x from 10^3 to 10^5 "
+             "chunks (> 1.5x): the per-chunk loop is not linear")
 EOF
 rm -f "$SMOKE_JSON"
 
